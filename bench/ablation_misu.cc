@@ -18,7 +18,7 @@ speedupWith(const std::string &wl, const BenchOptions &opts,
             Cycles misu_mac, bool coalescing)
 {
     auto cfg = SystemConfig::paperDefault();
-    applyOptKnobs(cfg, opts.knobs);
+    cfg.secure.bmtPipeline = opts.bmtPipeline;
     cfg.mode = SecurityMode::PreWpqSecure;
     cfg.wpq.coalescing = coalescing;
     System base(cfg);

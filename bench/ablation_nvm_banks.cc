@@ -30,7 +30,7 @@ main(int argc, char **argv)
         for (const unsigned b : banks) {
             auto run = [&](SecurityMode mode) {
                 auto cfg = SystemConfig::paperDefault();
-                applyOptKnobs(cfg, opts.knobs);
+                cfg.secure.bmtPipeline = opts.bmtPipeline;
                 cfg.mode = mode;
                 cfg.nvm.numBanks = b;
                 System sys(cfg);

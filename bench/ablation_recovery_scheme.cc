@@ -33,7 +33,7 @@ main(int argc, char **argv)
                                        CrashScheme::Osiris};
         for (int s = 0; s < 2; ++s) {
             auto cfg = SystemConfig::paperDefault();
-            applyOptKnobs(cfg, opts.knobs);
+            cfg.secure.bmtPipeline = opts.bmtPipeline;
             cfg.mode = SecurityMode::PreWpqSecure;
             cfg.secure.crashScheme = schemes[s];
             System base(cfg);
@@ -58,7 +58,7 @@ main(int argc, char **argv)
     std::printf("\nrecovery work after 500 writes:\n");
     for (int s = 0; s < 2; ++s) {
         auto cfg = SystemConfig::paperDefault();
-        applyOptKnobs(cfg, opts.knobs);
+        cfg.secure.bmtPipeline = opts.bmtPipeline;
         cfg.mode = SecurityMode::DolosPartialWpq;
         cfg.secure.crashScheme =
             s == 0 ? CrashScheme::Anubis : CrashScheme::Osiris;

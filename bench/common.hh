@@ -39,8 +39,8 @@ struct BenchOptions
     bool verify = true;
     bool json = false;     ///< write a BENCH_<name>.json artifact
     std::string jsonFile;  ///< override the artifact path
-    OptKnobs knobs;        ///< persist-path levers (default: all on;
-                           ///< --opt-knobs none = the paper's machine)
+    bool bmtPipeline = true; ///< --opt-knobs all|none: pipelined or
+                             ///< the paper's serial Ma-SU engine
 
     static BenchOptions
     parse(int argc, char **argv)
@@ -86,18 +86,20 @@ struct BenchOptions
                                  a.c_str());
                     std::exit(1);
                 }
-                const auto parsed = parseOptKnobs(argv[++i]);
-                if (!parsed) {
-                    std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
+                const auto piped = parseBmtPipelineSpec(argv[++i]);
+                if (!piped) {
+                    std::fprintf(stderr,
+                                 "--opt-knobs takes all|none, not '%s'\n",
                                  argv[i]);
                     std::exit(1);
                 }
-                o.knobs = *parsed;
+                o.bmtPipeline = *piped;
             } else if (a == "--help" || a == "-h") {
                 std::printf(
                     "options: --txns N | --full | --keys N | --seed N"
                     " | --no-verify | --json [FILE]"
-                    " | --opt-knobs K (none = paper's machine)\n");
+                    " | --opt-knobs all|none (none = paper's serial"
+                    " Ma-SU)\n");
                 std::exit(0);
             } else {
                 std::fprintf(stderr, "unknown option %s\n", a.c_str());
@@ -239,9 +241,7 @@ runOne(const std::string &workload, SecurityMode mode,
     cfg.secure.treePolicy = policy;
     if (wpq_override)
         cfg.wpq = *wpq_override;
-    // After the WPQ override: the knob spec must win over the
-    // override's drainBatching default too.
-    applyOptKnobs(cfg, opts.knobs);
+    cfg.secure.bmtPipeline = opts.bmtPipeline;
     System sys(cfg);
     auto wl = workloads::makeWorkload(workload,
                                       presetFor(workload, opts, tx_size));

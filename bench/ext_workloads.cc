@@ -34,7 +34,7 @@ main(int argc, char **argv)
 
         auto run = [&](SecurityMode mode) {
             auto cfg = SystemConfig::paperDefault();
-            applyOptKnobs(cfg, opts.knobs);
+            cfg.secure.bmtPipeline = opts.bmtPipeline;
             cfg.mode = mode;
             System sys(cfg);
             auto w = workloads::makeWorkload(wl, p);

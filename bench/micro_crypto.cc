@@ -7,10 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "crypto/ctr_pad.hh"
-#include "crypto/hmac.hh"
-#include "crypto/mac_engine.hh"
-#include "crypto/sha256.hh"
+#include "crypto/siphash.hh"
 
 using namespace dolos::crypto;
 
@@ -47,34 +47,17 @@ BM_CtrPad64B(benchmark::State &state)
 BENCHMARK(BM_CtrPad64B);
 
 void
-BM_Sha256(benchmark::State &state)
+BM_SipHashMac(benchmark::State &state)
 {
-    std::vector<std::uint8_t> buf(std::size_t(state.range(0)), 0xAB);
-    for (auto _ : state) {
-        auto d = Sha256::digest(buf.data(), buf.size());
-        benchmark::DoNotOptimize(d);
-    }
-    state.SetBytesProcessed(std::int64_t(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
-
-void
-BM_MacEngine(benchmark::State &state)
-{
-    const auto kind = state.range(0) == 0
-                          ? MacKind::HmacSha256Truncated
-                          : MacKind::SipHash24;
-    auto eng = makeMacEngine(kind, {1, 2, 3, 4});
+    const SipHashMac eng({1, 2, 3, 4});
     std::vector<std::uint8_t> block(64, 0x5A);
     for (auto _ : state) {
-        auto tag = eng->compute(block.data(), block.size());
+        auto tag = eng.compute(block.data(), block.size());
         benchmark::DoNotOptimize(tag);
     }
     state.SetBytesProcessed(std::int64_t(state.iterations()) * 64);
-    state.SetLabel(state.range(0) == 0 ? "HMAC-SHA256" : "SipHash24");
 }
-BENCHMARK(BM_MacEngine)->Arg(0)->Arg(1);
+BENCHMARK(BM_SipHashMac);
 
 } // namespace
 

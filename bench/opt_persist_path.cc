@@ -1,14 +1,15 @@
 /**
  * @file
- * Persist-path optimization levers: off-vs-on stall-cycle breakdown
- * per Dolos mode on the heaviest-WPQ-pressure workload (hashmap).
+ * Pipelined Ma-SU engine: serial ("off") vs pipelined ("on")
+ * stall-cycle breakdown per Dolos mode on the heaviest-WPQ-pressure
+ * workload (hashmap).
  *
- * The three levers (bmtPipeline, drainBatching, tagPrefetch) are
- * timing-only — `dolos-sim --verify-perf-equiv` proves state
- * equivalence — so this driver reports what they buy: the combined
- * wpqStallCycles + bmtCycles account must drop by at least 10% with
- * all levers on (checked at gate-sized runs), and the recorded
- * baseline locks the per-stage numbers at a 2% drift threshold.
+ * The pipeline (SecureParams::bmtPipeline) is timing-only —
+ * `dolos-sim --verify-perf-equiv` proves state equivalence — so this
+ * driver reports what it buys: the combined wpqStallCycles +
+ * bmtCycles account must drop by at least 10% with it on (checked at
+ * gate-sized runs), and the recorded baseline locks the per-stage
+ * numbers at a 2% drift threshold.
  */
 
 #include "bench/common.hh"
@@ -39,11 +40,11 @@ struct Leg
 
 Leg
 runLeg(const std::string &workload, SecurityMode mode,
-       const BenchOptions &opts, const OptKnobs &knobs)
+       const BenchOptions &opts, bool bmt_pipeline)
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.mode = mode;
-    applyOptKnobs(cfg, knobs);
+    cfg.secure.bmtPipeline = bmt_pipeline;
     System sys(cfg);
     auto wl = workloads::makeWorkload(workload,
                                       presetFor(workload, opts));
@@ -89,10 +90,9 @@ main(int argc, char **argv)
 {
     const auto opts = BenchOptions::parse(argc, argv);
     printHeader(
-        "Persist-path levers: bmtPipeline + drainBatching + "
-        "tagPrefetch, off vs on",
-        "timing-only levers; >= 10% combined wpqStall+bmt reduction "
-        "on hashmap",
+        "Pipelined Ma-SU engine (bmtPipeline), off vs on",
+        "timing-only; >= 10% combined wpqStall+bmt reduction on "
+        "hashmap",
         opts);
     BenchReport report("opt_persist_path", opts);
 
@@ -104,18 +104,11 @@ main(int argc, char **argv)
                  {SecurityMode::DolosPartialWpq, "partial"},
                  {SecurityMode::DolosPostWpq, "post"}};
     const std::string workload = "hashmap";
-    // The levers default on since the microstep-sweep flip, so the
-    // "off" leg (the paper's unoptimized machine) is the explicit one.
-    OptKnobs off;
-    off.bmtPipeline = false;
-    off.drainBatching = false;
-    off.tagPrefetch = false;
-    const OptKnobs on{};
-
+    // Both legs set the engine explicitly; --opt-knobs has no effect.
     bool met = true;
     for (const auto &m : modes) {
-        const Leg a = runLeg(workload, m.mode, opts, off);
-        const Leg b = runLeg(workload, m.mode, opts, on);
+        const Leg a = runLeg(workload, m.mode, opts, false);
+        const Leg b = runLeg(workload, m.mode, opts, true);
 
         std::printf("\n%s on %s\n", workload.c_str(),
                     securityModeName(m.mode));

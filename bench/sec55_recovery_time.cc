@@ -32,7 +32,7 @@ main(int argc, char **argv)
                             SecurityMode::DolosPartialWpq,
                             SecurityMode::DolosPostWpq}) {
         auto cfg = SystemConfig::paperDefault();
-        applyOptKnobs(cfg, opts.knobs);
+        cfg.secure.bmtPipeline = opts.bmtPipeline;
         cfg.mode = mode;
         System sys(cfg);
 

@@ -23,8 +23,7 @@ main(int argc, char **argv)
                 "80Bx10",
                 opts);
 
-    auto mac = crypto::makeMacEngine(crypto::MacKind::SipHash24,
-                                     {1, 2, 3, 4});
+    const crypto::SipHashMac mac({1, 2, 3, 4});
     const crypto::AesKey key{{5, 6, 7, 8}};
 
     struct Row
@@ -39,7 +38,7 @@ main(int argc, char **argv)
     std::printf("%-22s %10s %10s %14s %12s\n", "", "PCR", "MACs",
                 "pads", "tag array");
     for (const auto &row : rows) {
-        MiSu misu(row.mode, row.entries, 160, key, *mac);
+        MiSu misu(row.mode, row.entries, 160, key, mac);
         const auto o = misu.storageOverhead();
         char pads[32];
         std::snprintf(pads, sizeof(pads), "%uB x %u",

@@ -14,10 +14,10 @@
 #
 # Invoked as:
 #   cmake -DSIM=<dolos-sim> -DTORTURE=<dolos_torture>
-#         -DREPORT=<dolos_report> -DWORKDIR=<dir>
+#         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P exit_codes_smoke.cmake
 
-foreach(var SIM TORTURE REPORT WORKDIR)
+foreach(var SIM TORTURE FUZZ REPORT WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "exit_codes_smoke: ${var} not set")
     endif()
@@ -47,6 +47,21 @@ expect_rc(2 "${SIM}" --mode not-a-mode)
 
 # 2: invalid configuration (degenerate WPQ) — rejected, not clamped.
 expect_rc(2 "${SIM}" --wpq 1 --txns 10)
+
+# 2: --opt-knobs takes all|none only. The retired lever names and
+#    the comma grammar are usage errors in every CLI; all and none
+#    both run.
+foreach(spec bmt-pipeline drain-batch tag-prefetch
+        bmt-pipeline,tag-prefetch bmt-window=4 ALL)
+    expect_rc(2 "${SIM}" --txns 10 --opt-knobs ${spec})
+    expect_rc(2 "${TORTURE}" --replay w:1:7,f:1,s,c --opt-knobs ${spec})
+    expect_rc(2 "${FUZZ}" --opt-knobs ${spec})
+endforeach()
+foreach(spec all none)
+    expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
+                --txns 10 --keys 64 --opt-knobs ${spec})
+    expect_rc(0 "${TORTURE}" --replay w:1:7,f:1,s,c --opt-knobs ${spec})
+endforeach()
 
 # 3: injected integrity attack raises the alarm.
 expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial

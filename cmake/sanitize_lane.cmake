@@ -96,8 +96,8 @@ expect_rc(0 "${torture}" --campaign 4 --seed 11 --ops 60)
 expect_rc(0 "${torture}" --sweep --points every-op --meta-faults
             --budget 2 --txns 2)
 
-# Microstep crash sweep: power failures inside the optimized persist
-# path (mid BMT climb, at drain elisions, after prefetches) — the
+# Microstep crash sweep: power failures inside the persist path
+# (mid BMT climb, after the stored MAC, at the redo-log clear) — the
 # exception-unwound drain plus re-drained recovery is exactly the
 # kind of path sanitizers catch lifetime bugs in.
 expect_rc(0 "${torture}" --sweep --points microstep --budget 2

@@ -1,11 +1,14 @@
 /**
  * @file
- * SipHash-2-4 implementation.
+ * SipHash-2-4 and the SipHash MAC engine.
  */
 
 #include "crypto/siphash.hh"
 
 #include <cstring>
+#include <vector>
+
+#include "sim/profiler.hh"
 
 namespace dolos::crypto
 {
@@ -86,6 +89,58 @@ siphash24(const SipKey &key, const void *data, std::size_t len)
     sipround(v0, v1, v2, v3);
     sipround(v0, v1, v2, v3);
     return v0 ^ v1 ^ v2 ^ v3;
+}
+
+MacTag
+SipHashMac::compute(const void *data, std::size_t len) const
+{
+    DOLOS_PROF_SCOPE(Mac);
+    const std::uint64_t v = siphash24(key, data, len);
+    MacTag t;
+    for (int i = 0; i < 8; ++i)
+        t[i] = std::uint8_t(v >> (8 * i));
+    return t;
+}
+
+MacTag
+SipHashMac::computeParts(std::initializer_list<MacSegment> parts) const
+{
+    DOLOS_PROF_SCOPE(Mac);
+    // Total sizes here are tiny (address + counter + one cacheline),
+    // so a stack buffer normally suffices.
+    std::size_t total = 0;
+    for (const auto &[ptr, len] : parts)
+        total += len;
+
+    std::uint8_t buf[256];
+    if (total <= sizeof(buf)) {
+        std::size_t off = 0;
+        for (const auto &[ptr, len] : parts) {
+            std::memcpy(buf + off, ptr, len);
+            off += len;
+        }
+        return compute(buf, total);
+    }
+
+    std::vector<std::uint8_t> big;
+    big.reserve(total);
+    for (const auto &[ptr, len] : parts) {
+        const auto *p = static_cast<const std::uint8_t *>(ptr);
+        big.insert(big.end(), p, p + len);
+    }
+    return compute(big.data(), big.size());
+}
+
+bool
+SipHashMac::verify(const void *data, std::size_t len,
+                   const MacTag &tag) const
+{
+    // Constant-time compare: no early exit on the first mismatch.
+    const MacTag expected = compute(data, len);
+    std::uint8_t acc = 0;
+    for (std::size_t i = 0; i < tag.size(); ++i)
+        acc |= std::uint8_t(expected[i] ^ tag[i]);
+    return acc == 0;
 }
 
 } // namespace dolos::crypto

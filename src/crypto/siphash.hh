@@ -1,12 +1,12 @@
 /**
  * @file
- * SipHash-2-4 (Aumasson & Bernstein), from scratch.
+ * SipHash-2-4 (Aumasson & Bernstein), from scratch, and the MAC
+ * engine both security units build on it.
  *
- * Used by the FastMac engine for large parameter sweeps where the
- * full HMAC-SHA256 engine would dominate host run time. SipHash is a
- * real keyed PRF, so tamper detection remains genuine; only the
- * cryptographic strength margin differs. Simulated latency is
- * identical (it is configured, not measured).
+ * The paper's secure units compute 8-byte MACs over (ciphertext,
+ * counter, address) tuples. SipHash-2-4 is a real keyed PRF, so
+ * tamper detection is genuine. Simulated MAC latency (Table 1: 160
+ * cycles) is a property of the timing model, not of the engine.
  */
 
 #ifndef DOLOS_CRYPTO_SIPHASH_HH
@@ -15,6 +15,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <utility>
 
 namespace dolos::crypto
 {
@@ -29,6 +31,36 @@ using SipKey = std::array<std::uint8_t, 16>;
  */
 std::uint64_t siphash24(const SipKey &key, const void *data,
                         std::size_t len);
+
+/** 64-bit MAC tag (the paper's 8-byte MAC). */
+using MacTag = std::array<std::uint8_t, 8>;
+
+/** One segment of a multi-part MAC input. */
+using MacSegment = std::pair<const void *, std::size_t>;
+
+/** Keyed MAC: SipHash-2-4, tag bytes little-endian. */
+class SipHashMac
+{
+  public:
+    explicit SipHashMac(const SipKey &key) : key(key) {}
+
+    /** Compute a tag over a single contiguous buffer. */
+    MacTag compute(const void *data, std::size_t len) const;
+
+    /**
+     * Compute a tag over the concatenation of several segments
+     * (address, counter, ciphertext, ...), without the caller having
+     * to materialize the concatenation.
+     */
+    MacTag computeParts(std::initializer_list<MacSegment> parts) const;
+
+    /** Constant-time verification of @p tag over @p data. */
+    bool verify(const void *data, std::size_t len,
+                const MacTag &tag) const;
+
+  private:
+    SipKey key;
+};
 
 } // namespace dolos::crypto
 

@@ -73,7 +73,7 @@ bool isDolosMode(SecurityMode mode);
 /**
  * True for modes whose security engine runs *after* the WPQ and
  * serves drains (Dolos modes, the post-WPQ strawman, and eADR):
- * these persist at WPQ insertion and benefit from counter prefetch.
+ * these persist at WPQ insertion.
  */
 bool securityAfterWpq(SecurityMode mode);
 
@@ -111,17 +111,6 @@ struct WpqParams
 
     /** Enable write coalescing via the volatile tag array. */
     bool coalescing = true;
-
-    /**
-     * Drain-scheduler batching (SecPM-style): at drain-issue time,
-     * skip the security processing of a WPQ entry that a newer entry
-     * to the same cacheline supersedes — the newer entry carries the
-     * line's final contents and its own drain covers persistence.
-     * Only reachable when insertion-time coalescing missed the merge
-     * (e.g. coalescing disabled); accounting stays exact. Default on
-     * (`--opt-knobs none` restores the serial drain scheduler).
-     */
-    bool drainBatching = true;
 
     /** Usable entries for the given mode. */
     unsigned
@@ -192,46 +181,19 @@ struct SystemConfig
 std::string validateConfig(const SystemConfig &cfg);
 
 /**
- * The three persist-path optimization levers as one bundle, so CLI
- * tools, torture lanes and benches flip them consistently. The
- * levers are on by default (matching SecureParams/WpqParams since
- * they survived the microstep crash sweeps); `--opt-knobs none`
- * reproduces the paper's unoptimized machine.
+ * Parse an --opt-knobs value into secure.bmtPipeline: "all" selects
+ * the pipelined Ma-SU engine (the default), "none" the paper's
+ * serial one. Anything else yields nullopt — callers must reject it,
+ * never clamp.
  */
-struct OptKnobs
+std::optional<bool> parseBmtPipelineSpec(const std::string &spec);
+
+/** The --opt-knobs value that selects @p bmt_pipeline ("all"/"none"). */
+inline const char *
+bmtPipelineSpec(bool bmt_pipeline)
 {
-    bool bmtPipeline = true;
-    bool drainBatching = true;
-    bool tagPrefetch = true;
-
-    /** BMT pipeline window override (nullopt keeps the config's). */
-    std::optional<unsigned> bmtPipelineWindow;
-
-    bool
-    any() const
-    {
-        return bmtPipeline || drainBatching || tagPrefetch;
-    }
-};
-
-/**
- * Parse an --opt-knobs spec: "none", "all", or a comma-separated
- * subset of bmt-pipeline,drain-batch,tag-prefetch,bmt-window=N
- * naming the *exact* lever set to enable (everything unnamed is
- * off). Unknown names, an empty spec, and bmt-window=0 yield
- * nullopt — callers must reject them, never clamp.
- */
-std::optional<OptKnobs> parseOptKnobs(const std::string &spec);
-
-/**
- * Canonical spec string for a bundle ("all", "none", or the comma
- * list); parseOptKnobs(formatOptKnobs(k)) == k. Repro lines print
- * this unconditionally so they replay across default flips.
- */
-std::string formatOptKnobs(const OptKnobs &knobs);
-
-/** Apply a knob bundle to a configuration. */
-void applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs);
+    return bmt_pipeline ? "all" : "none";
+}
 
 } // namespace dolos
 

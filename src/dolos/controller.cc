@@ -105,9 +105,6 @@ validateConfig(const SystemConfig &cfg)
     if (cfg.secure.macOpsEagerWrite == 0 ||
         cfg.secure.macOpsLazyWrite == 0)
         return "secure.macOps per write must be nonzero";
-    if (cfg.secure.bmtPipeline && cfg.secure.bmtPipelineWindow == 0)
-        return "secure.bmtPipelineWindow must be nonzero when "
-               "bmtPipeline is enabled";
     if (cfg.mode == SecurityMode::EadrSecure &&
         cfg.eadr.energyBudgetCycles == 0)
         return "eadr.energyBudgetCycles must be nonzero in eADR mode "
@@ -115,108 +112,14 @@ validateConfig(const SystemConfig &cfg)
     return "";
 }
 
-std::optional<OptKnobs>
-parseOptKnobs(const std::string &spec)
+std::optional<bool>
+parseBmtPipelineSpec(const std::string &spec)
 {
-    // The spec names the *exact* lever set — it does not toggle on
-    // top of the defaults, so a repro line parses to the same machine
-    // whatever the defaults of the build that replays it.
-    OptKnobs knobs;
-    knobs.bmtPipeline = false;
-    knobs.drainBatching = false;
-    knobs.tagPrefetch = false;
+    if (spec == "all")
+        return true;
     if (spec == "none")
-        return knobs;
-    if (spec == "all") {
-        knobs.bmtPipeline = true;
-        knobs.drainBatching = true;
-        knobs.tagPrefetch = true;
-        return knobs;
-    }
-    if (spec.empty())
-        return std::nullopt;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string name =
-            spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                        : comma - pos);
-        if (name == "bmt-pipeline")
-            knobs.bmtPipeline = true;
-        else if (name == "drain-batch")
-            knobs.drainBatching = true;
-        else if (name == "tag-prefetch")
-            knobs.tagPrefetch = true;
-        else if (name.rfind("bmt-window=", 0) == 0) {
-            const std::string val = name.substr(11);
-            if (val.empty())
-                return std::nullopt;
-            unsigned window = 0;
-            for (const char c : val) {
-                if (c < '0' || c > '9')
-                    return std::nullopt;
-                window = window * 10 + unsigned(c - '0');
-                if (window > 1u << 16)
-                    return std::nullopt;
-            }
-            if (window == 0)
-                return std::nullopt; // reject, never clamp
-            knobs.bmtPipelineWindow = window;
-        } else {
-            return std::nullopt;
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return knobs;
-}
-
-std::string
-formatOptKnobs(const OptKnobs &knobs)
-{
-    // Canonical spec: parseOptKnobs(formatOptKnobs(k)) == k. The
-    // "all"/"none" shortcuts only apply when no window override is
-    // set, because "none,bmt-window=N" would not re-parse.
-    const bool all =
-        knobs.bmtPipeline && knobs.drainBatching && knobs.tagPrefetch;
-    const bool none =
-        !knobs.bmtPipeline && !knobs.drainBatching && !knobs.tagPrefetch;
-    if (!knobs.bmtPipelineWindow) {
-        if (all)
-            return "all";
-        if (none)
-            return "none";
-    }
-    std::string out;
-    const auto append = [&out](const char *item) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    };
-    if (knobs.bmtPipeline)
-        append("bmt-pipeline");
-    if (knobs.drainBatching)
-        append("drain-batch");
-    if (knobs.tagPrefetch)
-        append("tag-prefetch");
-    if (knobs.bmtPipelineWindow) {
-        if (!out.empty())
-            out += ',';
-        out += "bmt-window=" +
-               std::to_string(*knobs.bmtPipelineWindow);
-    }
-    return out;
-}
-
-void
-applyOptKnobs(SystemConfig &cfg, const OptKnobs &knobs)
-{
-    cfg.secure.bmtPipeline = knobs.bmtPipeline;
-    cfg.wpq.drainBatching = knobs.drainBatching;
-    cfg.secure.tagPrefetch = knobs.tagPrefetch;
-    if (knobs.bmtPipelineWindow)
-        cfg.secure.bmtPipelineWindow = *knobs.bmtPipelineWindow;
+        return false;
+    return std::nullopt;
 }
 
 SecureMemController::SecureMemController(const SystemConfig &cfg,
@@ -250,9 +153,6 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
     stats_.addScalar(&statReads, "reads", "reads reaching the controller");
     stats_.addScalar(&statStallCycles, "wpqStallCycles",
                      "cycles writes waited for a free WPQ slot");
-    stats_.addScalar(&statDrainsBatched, "drainsBatched",
-                     "drains elided because a newer same-line entry "
-                     "supersedes them (drainBatching)");
     stats_.addAverage(&statPersistLatency, "persistLatency",
                       "cycles from arrival to persistence");
     stats_.addAverage(&statOccupancy, "occupancy",
@@ -380,17 +280,6 @@ SecureMemController::drainEntry(WpqEntry &e)
                 (unsigned long long)done);
 }
 
-bool
-SecureMemController::supersededAtDrain(const WpqEntry &e) const
-{
-    const auto it = tagArray.find(e.addr);
-    // The tag array always maps an address to its *newest* WPQ entry,
-    // and FIFO order means that entry is still queued behind e (it
-    // cannot have retired while e sits in front of it). A mismatched
-    // id therefore proves a newer same-line entry exists.
-    return it != tagArray.end() && it->second != e.id;
-}
-
 void
 SecureMemController::processDrainsUntil(Tick t)
 {
@@ -408,31 +297,7 @@ SecureMemController::processDrainsUntil(Tick t)
         }
         if (start > t)
             break;
-        if (cfg.wpq.drainBatching && supersededAtDrain(e)) {
-            // Same-line merge at drain issue: the newer entry holds
-            // the line's final contents and its own (later) drain
-            // persists them, so this entry's security work and NVM
-            // write are elided. The slot frees immediately; WPQ and
-            // Mi-SU accounting stay exact.
-            e.drained = true;
-            e.releaseTick = start;
-            ++statDrainsBatched;
-            statDrainLatency.sample(double(start - e.persistTick));
-            if (misu_)
-                misu_->clearSlot(slotOf(e));
-            DOLOS_TRACE(trace::Stage::WpqBatch, e.persistTick, start,
-                        e.addr, e.id);
-            debugPrintf("Wpq",
-                        "batch id=%llu addr=0x%llx superseded",
-                        (unsigned long long)e.id,
-                        (unsigned long long)e.addr);
-            // Elide applied: the slot is free and the line's final
-            // contents now ride exclusively on the (undrained, still
-            // dumped) newer entry.
-            DOLOS_CRASH_POINT(WpqDrainElide);
-        } else {
-            drainEntry(e);
-        }
+        drainEntry(e);
         ++drainCursor;
     }
     retireReleased(t);
@@ -556,14 +421,6 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
 
     wpq.push_back(e);
     tagArray[e.addr] = e.id;
-
-    // Tag prefetch: the entry will sit in the WPQ until the Ma-SU
-    // drains it — warm its counter block now so the drain-time fetch
-    // overlaps the queue wait. Only modes whose engine runs *after*
-    // the WPQ benefit; the engine enforces the tagPrefetch knob and
-    // the never-evict-dirty rule.
-    if (securityAfterWpq(cfg.mode))
-        engine.prefetchCounter(e.addr);
 
     statPersistLatency.sample(double(e.persistTick - now));
     statPersistLatencyHist.sample(double(e.persistTick - now));
@@ -1114,7 +971,6 @@ SecureMemController::stateManifest() const
     DOLOS_MF_P(m, statWpqReadHits);
     DOLOS_MF_P(m, statReads);
     DOLOS_MF_P(m, statStallCycles);
-    DOLOS_MF_P(m, statDrainsBatched);
     DOLOS_MF_P(m, statPersistLatency);
     DOLOS_MF_P(m, statOccupancy);
     DOLOS_MF_P(m, statDrainLatency);

@@ -145,7 +145,6 @@ class SecureMemController : public PersistController
     std::uint64_t retryEvents() const { return statRetries.value(); }
     std::uint64_t coalesces() const { return statCoalesces.value(); }
     std::uint64_t wpqReadHits() const { return statWpqReadHits.value(); }
-    std::uint64_t drainsBatched() const { return statDrainsBatched.value(); }
 
     /** Cycles writes waited for a free WPQ slot (full-queue stalls). */
     std::uint64_t wpqStallCycles() const { return statStallCycles.value(); }
@@ -196,14 +195,6 @@ class SecureMemController : public PersistController
 
     /** Drain one entry (mode-specific); sets drained/releaseTick. */
     void drainEntry(WpqEntry &e);
-
-    /**
-     * Drain batching (wpq.drainBatching): true if @p e is superseded
-     * by a newer WPQ entry to the same cacheline, in which case its
-     * drain is elided at issue time — the newer entry carries the
-     * line's final contents and its own drain persists them.
-     */
-    bool supersededAtDrain(const WpqEntry &e) const;
 
     /** Pop released entries and retire their tag-array mappings. */
     void retireReleased(Tick t);
@@ -284,7 +275,6 @@ class SecureMemController : public PersistController
     stats::Scalar statWpqReadHits;
     stats::Scalar statReads;
     stats::Scalar statStallCycles;
-    stats::Scalar statDrainsBatched;
     stats::Average statPersistLatency;
     stats::Average statOccupancy;
     stats::Average statDrainLatency;
@@ -315,7 +305,6 @@ class SecureMemController : public PersistController
     DOLOS_PERSISTENT(statWpqReadHits);
     DOLOS_PERSISTENT(statReads);
     DOLOS_PERSISTENT(statStallCycles);
-    DOLOS_PERSISTENT(statDrainsBatched);
     DOLOS_PERSISTENT(statPersistLatency);
     DOLOS_PERSISTENT(statOccupancy);
     DOLOS_PERSISTENT(statDrainLatency);

@@ -18,7 +18,7 @@ constexpr std::uint64_t misuIvDomain = 0xD0105ULL << 20;
 } // namespace
 
 MiSu::MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
-           const crypto::AesKey &key, const crypto::MacEngine &mac)
+           const crypto::AesKey &key, const crypto::SipHashMac &mac)
     : mode_(mode),
       capacity_(capacity),
       macLatency(mac_latency),

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "crypto/ctr_pad.hh"
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "dolos/config.hh"
 #include "mem/block.hh"
 #include "sim/persist_annotations.hh"
@@ -66,7 +66,7 @@ class MiSu
      * @param mac MAC engine (not owned).
      */
     MiSu(SecurityMode mode, unsigned capacity, Cycles mac_latency,
-         const crypto::AesKey &key, const crypto::MacEngine &mac);
+         const crypto::AesKey &key, const crypto::SipHashMac &mac);
 
     /** Critical-path latency added before a write commits. */
     Cycles insertLatency() const;
@@ -167,7 +167,7 @@ class MiSu
     unsigned capacity_;
     Cycles macLatency;
     crypto::CtrPadGenerator padGen;
-    const crypto::MacEngine &macEngine;
+    const crypto::SipHashMac &macEngine;
 
     std::uint64_t pcr = 1; ///< on-chip persistent counter register
     std::vector<std::vector<std::uint8_t>> pads; ///< per-slot, 80B

@@ -13,7 +13,7 @@
 #ifndef DOLOS_DOLOS_REDO_LOG_HH
 #define DOLOS_DOLOS_REDO_LOG_HH
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "mem/block.hh"
 #include "sim/persist_annotations.hh"
 

@@ -15,7 +15,7 @@ constexpr std::uint64_t slotValidMarker = 0x414E554249535631ULL; // "ANUBISV1"
 } // namespace
 
 AnubisShadow::AnubisShadow(std::size_t num_slots, NvmDevice &nvm,
-                           const crypto::MacEngine &mac)
+                           const crypto::SipHashMac &mac)
     : slots(num_slots), nvm(nvm), mac(mac), stats_("anubis")
 {
     stats_.addScalar(&statWrites, "shadowWrites",

@@ -20,7 +20,7 @@
 
 #include <vector>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "mem/nvm_device.hh"
 #include "secure/address_map.hh"
 #include "secure/counters.hh"
@@ -65,7 +65,7 @@ class AnubisShadow
      * @param mac Engine for entry MACs (not owned).
      */
     AnubisShadow(std::size_t num_slots, NvmDevice &nvm,
-                 const crypto::MacEngine &mac);
+                 const crypto::SipHashMac &mac);
 
     /**
      * Persist a shadow entry for cache slot @p slot after a counter
@@ -97,7 +97,7 @@ class AnubisShadow
 
     std::size_t slots;
     NvmDevice &nvm;
-    const crypto::MacEngine &mac;
+    const crypto::SipHashMac &mac;
 
     stats::StatGroup stats_;
     stats::Scalar statWrites;

@@ -12,7 +12,7 @@
 namespace dolos
 {
 
-MerkleTree::MerkleTree(Addr num_leaves, const crypto::MacEngine &mac)
+MerkleTree::MerkleTree(Addr num_leaves, const crypto::SipHashMac &mac)
     : numLeaves(num_leaves), mac(mac)
 {
     DOLOS_ASSERT(num_leaves > 0, "tree needs at least one leaf");

@@ -20,7 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "secure/counters.hh"
 #include "sim/persist_annotations.hh"
 #include "sim/types.hh"
@@ -38,7 +38,7 @@ class MerkleTree
      * @param num_leaves Number of counter blocks covered.
      * @param mac Keyed MAC engine (not owned; must outlive the tree).
      */
-    MerkleTree(Addr num_leaves, const crypto::MacEngine &mac);
+    MerkleTree(Addr num_leaves, const crypto::SipHashMac &mac);
 
     /** Levels including the leaf level and the root level. */
     unsigned numLevels() const { return unsigned(levelSizes.size()); }
@@ -109,7 +109,7 @@ class MerkleTree
     void recomputeNode(unsigned level, Addr idx);
 
     Addr numLeaves;
-    const crypto::MacEngine &mac;
+    const crypto::SipHashMac &mac;
     std::vector<Addr> levelSizes;           ///< per-level node counts
     std::vector<crypto::MacTag> defaults;   ///< per-level default tags
     std::unordered_map<std::uint64_t, crypto::MacTag> nodes;

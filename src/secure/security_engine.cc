@@ -21,12 +21,12 @@ namespace dolos
 SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
     : params(p),
       nvm_(nvm),
-      mac(crypto::makeMacEngine(p.macKind, p.macKey)),
+      mac(p.macKey),
       padGen(p.dataKey),
-      tree(p.functionalLeaves, *mac),
+      tree(p.functionalLeaves, mac),
       ctrCache(p.counterCache),
       mtCache(p.mtCache),
-      shadow(ctrCache.numSlots(), nvm, *mac),
+      shadow(ctrCache.numSlots(), nvm, mac),
       stats_("secEngine")
 {
     rootRegister = tree.root();
@@ -76,11 +76,6 @@ SecurityEngine::SecurityEngine(const SecureParams &p, NvmDevice &nvm)
     stats_.addScalar(&statBmtCoalesced, "bmtCoalescedUpdates",
                      "tree levels coalesced onto in-flight root-path "
                      "updates (bmtPipeline)");
-    stats_.addScalar(&statTagPrefetchIssued, "tagPrefetchIssued",
-                     "counter blocks warmed at WPQ admission");
-    stats_.addScalar(&statTagPrefetchHits, "tagPrefetchHits",
-                     "demand counter fetches that hit a prefetched "
-                     "block");
     stats_.addAverage(&statWriteLatency, "writeLatency",
                       "security-op cycles per write");
     stats_.addAverage(&statReadLatency, "readLatency",
@@ -122,7 +117,7 @@ crypto::MacTag
 SecurityEngine::dataMac(Addr addr, const Block &ciphertext,
                         std::uint64_t counter) const
 {
-    return mac->computeParts({{&addr, sizeof(addr)},
+    return mac.computeParts({{&addr, sizeof(addr)},
                               {&counter, sizeof(counter)},
                               {ciphertext.data(), ciphertext.size()}});
 }
@@ -408,19 +403,10 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
 {
     const Addr cb_addr = AddressMap::counterBlockAddr(addr);
     if (ctrCache.lookup(cb_addr)) {
-        if (const auto it = prefetchPending.find(cb_addr);
-            it != prefetchPending.end()) {
-            ++statTagPrefetchHits;
-            prefetchPending.erase(it);
-            DOLOS_CRASH_POINT(PrefetchPromote);
-        }
         if (for_write)
             ctrCache.markDirty(cb_addr);
         return start;
     }
-    // A miss on a block we prefetched means the warm line was evicted
-    // before any demand touch: the prefetch was wasted, not a hit.
-    prefetchPending.erase(cb_addr);
 
     // Miss: fetch the counter block from NVM. A device-flagged read
     // is suspect cells, not evidence of tamper: retry with doubling
@@ -600,54 +586,10 @@ SecurityEngine::chargeBmtClimb(Addr page_idx, Tick start)
 
     if (params.bmtPipeline) {
         bmtInflight.push_back({page_idx, start, done});
-        if (bmtInflight.size() > params.bmtPipelineWindow)
+        if (bmtInflight.size() > bmtCoalesceWindow)
             bmtInflight.erase(bmtInflight.begin());
     }
     return done;
-}
-
-void
-SecurityEngine::prefetchCounter(Addr addr)
-{
-    if (!params.tagPrefetch)
-        return;
-    const Addr cb_addr = AddressMap::counterBlockAddr(addr);
-    if (ctrCache.contains(cb_addr))
-        return;
-    // Never displace a dirty line: it may be about to be drained and
-    // its eviction would post an NVM metadata write the serial demand
-    // path never issued.
-    if (ctrCache.wouldEvictDirty(cb_addr)) {
-        DOLOS_CRASH_POINT(PrefetchDirtyBackoff);
-        return;
-    }
-    if (nvm_.isQuarantined(cb_addr))
-        return;
-
-    // Run the same functional checks the demand path would — tamper
-    // detection must not get weaker (or quieter) because the block
-    // arrived early. A media-flagged frame keeps its demand-path
-    // retry/repair semantics: skip and let the drain handle it.
-    const Block raw = nvm_.readFunctionalChecked(cb_addr);
-    if (nvm_.lastReadMediaError())
-        return;
-    ++statTagPrefetchIssued;
-    const Addr page_idx = AddressMap::pageOf(addr);
-    const CounterPage fetched = CounterPage::unpack(raw);
-    if (counters.hasPage(page_idx)) {
-        if (!(fetched == counters.page(page_idx))) {
-            ++statAttacks;
-            warn("counter block 0x%llx modified in NVM",
-                 (unsigned long long)cb_addr);
-        }
-    } else {
-        verifyFetchedPage(page_idx, fetched);
-        counters.restorePage(page_idx, fetched);
-    }
-    const auto ev = ctrCache.insert(cb_addr, false);
-    DOLOS_ASSERT(!ev, "tag prefetch evicted a dirty line");
-    prefetchPending.insert(cb_addr);
-    DOLOS_CRASH_POINT(PrefetchIssue);
 }
 
 SecureWriteResult
@@ -770,13 +712,11 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     }
 
     // Pipelined engines accept the next write one MAC-slot after
-    // this write's metadata was ready; a non-pipelined engine is
-    // occupied for the full latency. The lazy ToC scheme is
-    // pipelined by construction: the paper assumes parallel AES-GCM
-    // engines updating the tree levels concurrently (Phoenix / [22]).
-    // The BMT pipeline implies per-level engines, so it frees the
-    // front of the engine the same way.
-    const bool piped = params.pipelinedWrites || params.bmtPipeline ||
+    // this write's metadata was ready; a serial engine is occupied for
+    // the full latency. The lazy ToC scheme is pipelined by
+    // construction: the paper assumes parallel AES-GCM engines
+    // updating the tree levels concurrently (Phoenix / [22]).
+    const bool piped = params.bmtPipeline ||
                        params.treePolicy == TreeUpdatePolicy::LazyToc;
     busyUntil_ = piped ? crypto_start + params.macLatency : t;
 
@@ -995,7 +935,6 @@ SecurityEngine::crash()
     tree.clear();
     busyUntil_ = 0;
     bmtInflight.clear();
-    prefetchPending.clear();
     // rootRegister and shadowSeq are on-chip persistent registers.
 }
 
@@ -1289,7 +1228,6 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_P(m, shadowSeq);
     DOLOS_MF_V(m, busyUntil_);
     DOLOS_MF_V(m, bmtInflight);
-    DOLOS_MF_V(m, prefetchPending);
     DOLOS_MF_CONST(m, stats_);
     DOLOS_MF_P(m, statWrites);
     DOLOS_MF_P(m, statReads);
@@ -1313,8 +1251,6 @@ SecurityEngine::stateManifest() const
     DOLOS_MF_P(m, statMacCycles);
     DOLOS_MF_P(m, statBmtCycles);
     DOLOS_MF_P(m, statBmtCoalesced);
-    DOLOS_MF_P(m, statTagPrefetchIssued);
-    DOLOS_MF_P(m, statTagPrefetchHits);
     DOLOS_MF_P(m, statWriteLatency);
     DOLOS_MF_P(m, statReadLatency);
     DOLOS_MF_P(m, statTreeWalkLevels);

@@ -15,19 +15,18 @@
  * Functional behaviour is real: ciphertext/MACs are computed with
  * real keys; tamper, replay and relocation of NVM content are
  * genuinely detected. Timing follows Table 1 and is composed from
- * configured latencies (the engine is a serial FIFO server).
+ * configured latencies (the engine is a FIFO server, serial or
+ * pipelined per SecureParams::bmtPipeline).
  */
 
 #ifndef DOLOS_SECURE_SECURITY_ENGINE_HH
 #define DOLOS_SECURE_SECURITY_ENGINE_HH
 
-#include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "crypto/ctr_pad.hh"
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "mem/nvm_device.hh"
 #include "secure/address_map.hh"
 #include "secure/anubis.hh"
@@ -74,40 +73,19 @@ struct SecureParams
     unsigned macOpsLazyWrite = 4;
 
     /**
-     * When true, tree updates pipeline across writes (per-level MAC
-     * engines, as explored by Freij et al. [10]): a write's security
-     * work keeps the full serial-MAC *latency*, but a new write may
-     * enter the engine every macLatency cycles. The paper's baseline
-     * and Ma-SU serialize updates ("all levels are updated serially,
-     * similar to prior work"), so the default is false; the pipelined
-     * engine is provided as an ablation (bench/ablation_pipeline).
-     */
-    bool pipelinedWrites = false;
-
-    /**
-     * BMT update pipeline (Freij et al. [10] style): the engine keeps
-     * a small window of in-flight root-path updates and, when a new
-     * write's tree path shares ancestors with one of them, only the
-     * non-shared levels are charged — the shared upper levels (and
-     * the root, which is always updated last) coalesce onto the
-     * in-flight update. Timing-only: the functional tree/root update
-     * is unchanged. Default on (survived the microstep crash sweeps;
-     * `--opt-knobs none` restores the paper's serial Ma-SU).
+     * Freij et al. [10]-style pipelined Ma-SU engine. Per-level MAC
+     * engines let a new write enter the engine one macLatency after
+     * the previous write's crypto started, instead of waiting out its
+     * whole serial climb. Root-path updates still in flight (up to
+     * bmtCoalesceWindow of them) coalesce shared ancestors: a write
+     * whose tree path joins one is charged only its non-shared lower
+     * levels, and completes no earlier than the joined climb (the
+     * root is always updated last). Timing only: the functional
+     * tree/root update is unchanged. Default on; off is the paper's
+     * serial Ma-SU ("all levels are updated serially, similar to
+     * prior work"), selected by `--opt-knobs none`.
      */
     bool bmtPipeline = true;
-
-    /** In-flight root-path updates tracked when bmtPipeline is on. */
-    unsigned bmtPipelineWindow = 4;
-
-    /**
-     * Prefetch counter/metadata blocks into the counter cache when
-     * the controller admits a write into the WPQ, so the Ma-SU's
-     * demand fetch at drain time overlaps the queue wait. Functional
-     * warm-up only (prefetch bandwidth is not timed); never evicts a
-     * dirty line (see TagCache::wouldEvictDirty). Default on
-     * (`--opt-knobs none` restores the cold demand path).
-     */
-    bool tagPrefetch = true;
 
     /** Counter crash-consistency mechanism. */
     CrashScheme crashScheme = CrashScheme::Anubis;
@@ -154,7 +132,6 @@ struct SecureParams
     TreeUpdatePolicy treePolicy = TreeUpdatePolicy::EagerMerkle;
     TagCacheParams counterCache{"counterCache", 128 * 1024, 4};
     TagCacheParams mtCache{"mtCache", 256 * 1024, 8};
-    crypto::MacKind macKind = crypto::MacKind::SipHash24;
     crypto::AesKey dataKey{};
     std::array<std::uint8_t, 16> macKey{};
 
@@ -166,6 +143,9 @@ struct SecureParams
      */
     Addr functionalLeaves = 1 << 16; ///< 64K pages = 256 MB
 };
+
+/** In-flight root-path updates a pipelined engine coalesces onto. */
+inline constexpr unsigned bmtCoalesceWindow = 4;
 
 /** Result of a security-processed write. */
 struct SecureWriteResult
@@ -214,7 +194,7 @@ struct ScrubReport
 };
 
 /**
- * The security engine; a serial FIFO server for write-side crypto,
+ * The security engine; a FIFO server for write-side crypto,
  * with a fully functional secure-memory state.
  */
 class SecurityEngine
@@ -249,16 +229,6 @@ class SecurityEngine
      */
     void reissueCiphertext(Addr addr, const Block &plaintext);
 
-    /**
-     * Hint that @p addr will be drained soon (it was just admitted to
-     * the WPQ): warm its counter block into the counter cache so the
-     * drain-time fetchCounter hits. Honoured only when
-     * params.tagPrefetch is set; never evicts a dirty line and never
-     * touches media-flagged frames (those keep their demand-path
-     * retry/repair semantics). Untimed.
-     */
-    void prefetchCounter(Addr addr);
-
     /** Drop all volatile state (power failure). */
     void crash();
 
@@ -268,7 +238,7 @@ class SecurityEngine
      */
     SecureRecoveryResult recover();
 
-    /** Earliest tick the (serial) write engine frees up. */
+    /** Earliest tick the write engine accepts the next write. */
     Tick busyUntil() const { return busyUntil_; }
 
     /** True if any integrity check ever failed (attack detected). */
@@ -292,7 +262,7 @@ class SecurityEngine
     crypto::MacTag persistentRoot() const { return rootRegister; }
 
     const SecureParams &config() const { return params; }
-    const crypto::MacEngine &macEngine() const { return *mac; }
+    const crypto::SipHashMac &macEngine() const { return mac; }
     NvmDevice &nvm() { return nvm_; }
     stats::StatGroup &statGroup() { return stats_; }
 
@@ -355,18 +325,10 @@ class SecurityEngine
     std::uint64_t macCycles() const { return statMacCycles.value(); }
     std::uint64_t bmtCycles() const { return statBmtCycles.value(); }
 
-    /** Optimization-lever outcomes (bmtPipeline / tagPrefetch). */
+    /** Tree levels coalesced onto in-flight climbs (bmtPipeline). */
     std::uint64_t bmtCoalescedUpdates() const
     {
         return statBmtCoalesced.value();
-    }
-    std::uint64_t tagPrefetchIssued() const
-    {
-        return statTagPrefetchIssued.value();
-    }
-    std::uint64_t tagPrefetchHits() const
-    {
-        return statTagPrefetchHits.value();
     }
 
     /** Register every member into the crash-state manifest. */
@@ -500,7 +462,7 @@ class SecurityEngine
 
     SecureParams params;
     NvmDevice &nvm_;
-    std::unique_ptr<crypto::MacEngine> mac;
+    crypto::SipHashMac mac;
     crypto::CtrPadGenerator padGen;
 
     CounterStore counters;
@@ -515,13 +477,6 @@ class SecurityEngine
 
     /** In-flight BMT root-path updates (bmtPipeline; volatile). */
     std::vector<BmtInflight> bmtInflight;
-
-    /**
-     * Counter-cache blocks warmed by prefetchCounter and not yet
-     * touched by a demand fetch (tagPrefetch hit accounting;
-     * volatile). Ordered so crash-state descriptions are canonical.
-     */
-    std::set<Addr> prefetchPending;
 
     stats::StatGroup stats_;
     stats::Scalar statWrites;
@@ -546,8 +501,6 @@ class SecurityEngine
     stats::Scalar statMacCycles;
     stats::Scalar statBmtCycles;
     stats::Scalar statBmtCoalesced;
-    stats::Scalar statTagPrefetchIssued;
-    stats::Scalar statTagPrefetchHits;
     stats::Average statWriteLatency;
     stats::Average statReadLatency;
     stats::Average statTreeWalkLevels;
@@ -569,7 +522,6 @@ class SecurityEngine
     DOLOS_PERSISTENT(shadowSeq);
     DOLOS_VOLATILE(busyUntil_);
     DOLOS_VOLATILE(bmtInflight);
-    DOLOS_VOLATILE(prefetchPending);
     DOLOS_PERSISTENT(stats_);
     DOLOS_PERSISTENT(statWrites);
     DOLOS_PERSISTENT(statReads);
@@ -593,8 +545,6 @@ class SecurityEngine
     DOLOS_PERSISTENT(statMacCycles);
     DOLOS_PERSISTENT(statBmtCycles);
     DOLOS_PERSISTENT(statBmtCoalesced);
-    DOLOS_PERSISTENT(statTagPrefetchIssued);
-    DOLOS_PERSISTENT(statTagPrefetchHits);
     DOLOS_PERSISTENT(statWriteLatency);
     DOLOS_PERSISTENT(statReadLatency);
     DOLOS_PERSISTENT(statTreeWalkLevels);

@@ -11,7 +11,7 @@ namespace dolos
 {
 
 TreeOfCounters::TreeOfCounters(Addr num_leaves,
-                               const crypto::MacEngine &mac)
+                               const crypto::SipHashMac &mac)
     : numLeaves(num_leaves), mac(mac)
 {
     DOLOS_ASSERT(num_leaves > 0, "ToC needs at least one leaf");

@@ -26,7 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "sim/types.hh"
 
 namespace dolos
@@ -46,7 +46,7 @@ class TreeOfCounters
   public:
     static constexpr unsigned arity = 8;
 
-    TreeOfCounters(Addr num_leaves, const crypto::MacEngine &mac);
+    TreeOfCounters(Addr num_leaves, const crypto::SipHashMac &mac);
 
     unsigned numLevels() const { return unsigned(levelSizes.size()); }
     Addr levelSize(unsigned lvl) const { return levelSizes[lvl]; }
@@ -123,7 +123,7 @@ class TreeOfCounters
                          const TocNode &node) const;
 
     Addr numLeaves;
-    const crypto::MacEngine &mac;
+    const crypto::SipHashMac &mac;
     std::vector<Addr> levelSizes;
 
     /** Trusted current state (cache-resident + persisted merged). */

@@ -1,13 +1,12 @@
 /**
  * @file
- * Microstep crash-point registry for the optimized persist path.
+ * Microstep crash-point registry for the persist path.
  *
  * The WPQ-boundary and every-op sweeps arm power failures *between*
- * environment operations; the three persist-path levers (bmtPipeline,
- * drainBatching, tagPrefetch) create intermediate machine states
- * *inside* a single drain — a half-climbed pipelined BMT window, an
- * elided superseded entry, a prefetched counter block — that those
- * sweeps can never hit. Components mark each such internal step with
+ * environment operations; a drain passes through intermediate machine
+ * states *inside* one operation — a half-climbed BMT path, a stored
+ * MAC ahead of its ciphertext, a filled redo log — that those sweeps
+ * can never hit. Components mark each such internal step with
  * DOLOS_CRASH_POINT(step); this registry either counts the firings
  * (the sweep's probe run) or throws MicrostepCrash at an armed firing
  * index, which the workload runner converts into a mid-operation
@@ -33,7 +32,7 @@
 namespace dolos::crashpoint
 {
 
-/** One named internal step of the optimized persist path. */
+/** One named internal step of the persist path. */
 enum class Step : std::uint8_t
 {
     // --- Ma-SU security engine (secureWrite internals) -------------
@@ -48,14 +47,8 @@ enum class Step : std::uint8_t
 
     // --- controller drain scheduler ---------------------------------
     WpqDrainIssue,   ///< drain handed to the engine
-    WpqDrainElide,   ///< superseded entry elided by drainBatching
     WpqCtWrite,      ///< drained ciphertext written to NVM
     WpqRedoClear,    ///< redo log cleared, entry about to release
-
-    // --- tag-cache prefetch (WPQ admission) -------------------------
-    PrefetchIssue,       ///< counter block prefetched into the cache
-    PrefetchDirtyBackoff,///< prefetch backed off a dirty victim line
-    PrefetchPromote,     ///< demand fetch hit a pending prefetch
 
     // --- eADR holdup flush (power already failed) -------------------
     EadrLineSelect,      ///< flush admitted the next dirty line
@@ -65,7 +58,7 @@ enum class Step : std::uint8_t
     NumSteps
 };
 
-/** Stable lowercase name ("masuBmtLevel", "wpqDrainElide", ...). */
+/** Stable lowercase name ("masuBmtLevel", "wpqCtWrite", ...). */
 const char *stepName(Step s);
 
 /** Thrown by an armed registry at the targeted firing. */

@@ -22,8 +22,8 @@ namespace
 
 /**
  * A deliberately small machine: the tiny metadata caches and heap
- * keep runs fast *and* put real pressure on the levers (prefetches
- * face dirty victims, climbs overlap, same-line writes recur).
+ * keep runs fast *and* put real pressure on the pipeline (climbs
+ * overlap, same-line writes recur, counter blocks evict).
  */
 SystemConfig
 equivConfig(SecurityMode mode)
@@ -62,8 +62,6 @@ struct LegSnapshot
     std::map<Addr, std::array<ByteClass, blockSize>> classes;
     std::uint64_t stallPlusBmt = 0;
     std::uint64_t coalesced = 0;
-    std::uint64_t batched = 0;
-    std::uint64_t prefetchHits = 0;
 };
 
 LegSnapshot
@@ -100,8 +98,6 @@ runLeg(const SystemConfig &cfg, const std::string &workload,
     s.stallPlusBmt = sys.controller().wpqStallCycles() +
                      sys.engine().bmtCycles();
     s.coalesced = sys.engine().bmtCoalescedUpdates();
-    s.batched = sys.controller().drainsBatched();
-    s.prefetchHits = sys.engine().tagPrefetchHits();
     sys.core().setObserver(nullptr);
     return s;
 }
@@ -121,7 +117,7 @@ diag(PerfEquivResult &r, const char *fmt, ...)
  * The crash leg's equivalence: identical per-byte persistence
  * classification, and byte-identical values wherever the byte is
  * committed. In-flight bytes legitimately resolve differently — the
- * knobs change drain progress — so they are compared only for
+ * pipeline changes drain progress — so they are compared only for
  * admissibility (which the per-leg oracle already enforced).
  */
 bool
@@ -170,25 +166,19 @@ committedEquivalent(PerfEquivResult &r, const LegSnapshot &off,
 
 PerfEquivResult
 verifyPerfEquiv(SecurityMode mode, const std::string &workload,
-                std::uint64_t num_tx, std::uint64_t seed,
-                const OptKnobs &knobs)
+                std::uint64_t num_tx, std::uint64_t seed)
 {
     PerfEquivResult r;
     r.mode = mode;
     r.workload = workload;
 
     const workloads::WorkloadParams params = equivParams(seed);
-    // The levers default on since the microstep-sweep flip, so the
-    // "off" leg must force them off explicitly — it models the
-    // paper's unoptimized machine, not the build defaults.
+    // The pipeline defaults on, so the "off" leg forces it off: it
+    // models the paper's serial Ma-SU, not the build default.
     SystemConfig off_cfg = equivConfig(mode);
-    OptKnobs off_knobs;
-    off_knobs.bmtPipeline = false;
-    off_knobs.drainBatching = false;
-    off_knobs.tagPrefetch = false;
-    applyOptKnobs(off_cfg, off_knobs);
+    off_cfg.secure.bmtPipeline = false;
     SystemConfig on_cfg = off_cfg;
-    applyOptKnobs(on_cfg, knobs);
+    on_cfg.secure.bmtPipeline = true;
 
     // Leg 1: crash-free run, full final-state comparison.
     const LegSnapshot off = runLeg(off_cfg, workload, params, num_tx,
@@ -225,8 +215,6 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
              (unsigned long long)off.stallPlusBmt,
              (unsigned long long)on.stallPlusBmt);
     r.bmtCoalescedUpdates = on.coalesced;
-    r.drainsBatched = on.batched;
-    r.tagPrefetchHits = on.prefetchHits;
 
     // Leg 2: crash at a program-order WPQ boundary near the middle of
     // the run, recover, and compare recovery outcomes. The boundary
@@ -290,14 +278,12 @@ formatPerfEquivReport(const PerfEquivResult &r)
     std::snprintf(
         buf, sizeof(buf),
         "%-13s %-8s %s  stall+bmt %llu -> %llu  "
-        "(coalesced=%llu batched=%llu prefetchHits=%llu)",
+        "(coalesced=%llu)",
         securityModeName(r.mode), r.workload.c_str(),
         r.ok() ? "OK  " : "FAIL",
         (unsigned long long)r.offStallPlusBmt,
         (unsigned long long)r.onStallPlusBmt,
-        (unsigned long long)r.bmtCoalescedUpdates,
-        (unsigned long long)r.drainsBatched,
-        (unsigned long long)r.tagPrefetchHits);
+        (unsigned long long)r.bmtCoalescedUpdates);
     std::string out = buf;
     for (const auto &d : r.diagnostics) {
         out += "\n    ";

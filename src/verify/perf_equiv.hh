@@ -1,13 +1,13 @@
 /**
  * @file
- * Timing-vs-state differential harness for the persist-path
- * optimization levers (bmtPipeline / drainBatching / tagPrefetch).
+ * Timing-vs-state differential harness for the pipelined Ma-SU
+ * engine (SecureParams::bmtPipeline).
  *
- * The levers are *timing* optimizations: they may reorder or elide
- * modeled latency charges, but they must not change what the machine
+ * The pipeline is a *timing* optimization: it may overlap or coalesce
+ * modeled latency charges, but it must not change what the machine
  * computes, detects, or recovers. This harness proves that claim per
- * (mode, workload) by running the same program twice — once with all
- * knobs off, once with all knobs on — and requiring:
+ * (mode, workload) by running the same program twice — once on the
+ * serial engine, once on the pipelined one — and requiring:
  *
  *  1. Final state: after a crash-free run, the plaintext contents of
  *     every golden-tracked block, read back through the core, are
@@ -21,12 +21,12 @@
  *     the same per-byte persistence classification, and identical
  *     values for every committed byte. (In-flight bytes may resolve
  *     differently — drain progress at the crash point is exactly
- *     what the knobs change — but the committed prefix is sacred.)
- *  4. Timing: the optimized run's wpqStallCycles + bmtCycles total
- *     is no worse than the baseline's.
+ *     what the pipeline changes — but the committed prefix is
+ *     sacred.)
+ *  4. Timing: the pipelined run's wpqStallCycles + bmtCycles total
+ *     is no worse than the serial run's.
  *
- * Exposed through `dolos-sim --verify-perf-equiv` and the
- * bmt_pipeline/drain_batch/tag_prefetch unit tests.
+ * Exposed through `dolos-sim --verify-perf-equiv`.
  */
 
 #ifndef DOLOS_VERIFY_PERF_EQUIV_HH
@@ -40,7 +40,7 @@
 namespace dolos::verify
 {
 
-/** Outcome of one (mode, workload) off-vs-on differential. */
+/** Outcome of one (mode, workload) serial-vs-pipelined differential. */
 struct PerfEquivResult
 {
     SecurityMode mode = SecurityMode::DolosPartialWpq;
@@ -56,9 +56,7 @@ struct PerfEquivResult
     std::uint64_t crashOp = 0;        ///< crash leg's boundary
     std::uint64_t offStallPlusBmt = 0;
     std::uint64_t onStallPlusBmt = 0;
-    std::uint64_t bmtCoalescedUpdates = 0; ///< on-run lever activity
-    std::uint64_t drainsBatched = 0;
-    std::uint64_t tagPrefetchHits = 0;
+    std::uint64_t bmtCoalescedUpdates = 0; ///< on-run pipeline activity
 
     std::vector<std::string> diagnostics;
 
@@ -71,17 +69,13 @@ struct PerfEquivResult
     }
 };
 
-/** Knob bundle the "on" runs use (defaults to all three levers). */
+/** Serial ("off") vs pipelined ("on") Ma-SU on one workload. */
 PerfEquivResult verifyPerfEquiv(SecurityMode mode,
                                 const std::string &workload,
                                 std::uint64_t num_tx,
-                                std::uint64_t seed,
-                                const OptKnobs &knobs = {});
+                                std::uint64_t seed);
 
-/**
- * The CLI sweep: every tier-1 workload in all three Dolos modes,
- * all knobs on.
- */
+/** The CLI sweep: every tier-1 workload in all three Dolos modes. */
 std::vector<PerfEquivResult> verifyPerfEquivAll(std::uint64_t seed);
 
 /** One-line human-readable report. */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -215,140 +216,53 @@ TEST(ConfigValidation, ValidConfigConstructs)
     EXPECT_NO_THROW({ System sys(cfg); });
 }
 
-TEST(OptKnobsConfig, LeversDefaultOn)
+TEST(BmtPipelineSwitch, DefaultsOn)
 {
-    // The paper's levers survived the microstep crash sweeps and are
-    // the build default on every layer: the bundle, the engine
-    // parameters, and the WPQ parameters must agree.
-    const OptKnobs knobs;
-    EXPECT_TRUE(knobs.bmtPipeline);
-    EXPECT_TRUE(knobs.drainBatching);
-    EXPECT_TRUE(knobs.tagPrefetch);
-    EXPECT_FALSE(knobs.bmtPipelineWindow.has_value());
-
-    const auto cfg = SystemConfig::paperDefault();
-    EXPECT_TRUE(cfg.secure.bmtPipeline);
-    EXPECT_TRUE(cfg.secure.tagPrefetch);
-    EXPECT_TRUE(cfg.wpq.drainBatching);
+    // The pipelined Ma-SU engine survived the microstep crash sweeps
+    // and is the build default; --opt-knobs all names it.
+    EXPECT_TRUE(SystemConfig::paperDefault().secure.bmtPipeline);
+    EXPECT_EQ(parseBmtPipelineSpec("all"), std::optional<bool>(true));
+    EXPECT_EQ(parseBmtPipelineSpec("none"), std::optional<bool>(false));
 }
 
-TEST(OptKnobsConfig, ParseNamesTheExactLeverSet)
+TEST(BmtPipelineSwitch, SpecRejectsAnythingButAllOrNone)
 {
-    const auto none = parseOptKnobs("none");
-    ASSERT_TRUE(none);
-    EXPECT_FALSE(none->any());
-
-    const auto all = parseOptKnobs("all");
-    ASSERT_TRUE(all);
-    EXPECT_TRUE(all->bmtPipeline);
-    EXPECT_TRUE(all->drainBatching);
-    EXPECT_TRUE(all->tagPrefetch);
-    EXPECT_FALSE(all->bmtPipelineWindow.has_value());
-
-    // A comma list enables exactly the named levers — it does NOT
-    // toggle on top of the (now all-on) defaults, so an old repro
-    // line replays the identical machine on this build.
-    const auto one = parseOptKnobs("drain-batch");
-    ASSERT_TRUE(one);
-    EXPECT_FALSE(one->bmtPipeline);
-    EXPECT_TRUE(one->drainBatching);
-    EXPECT_FALSE(one->tagPrefetch);
-
-    const auto two = parseOptKnobs("bmt-pipeline,tag-prefetch");
-    ASSERT_TRUE(two);
-    EXPECT_TRUE(two->bmtPipeline);
-    EXPECT_FALSE(two->drainBatching);
-    EXPECT_TRUE(two->tagPrefetch);
-
-    const auto win = parseOptKnobs("bmt-pipeline,bmt-window=7");
-    ASSERT_TRUE(win);
-    EXPECT_TRUE(win->bmtPipeline);
-    ASSERT_TRUE(win->bmtPipelineWindow.has_value());
-    EXPECT_EQ(*win->bmtPipelineWindow, 7u);
+    // The retired lever names and the comma grammar are rejected,
+    // never mapped onto the nearest setting.
+    for (const char *bad :
+         {"", "ALL", "all,", "bmt-pipeline", "drain-batch",
+          "tag-prefetch", "bmt-pipeline,tag-prefetch", "bmt-window=4",
+          "none,bmt-window=1"})
+        EXPECT_EQ(parseBmtPipelineSpec(bad), std::nullopt) << bad;
 }
 
-TEST(OptKnobsConfig, ParseRejectsBadSpecsInsteadOfClamping)
+TEST(BmtPipelineSwitch, SpecRoundTrips)
 {
-    // Every malformed spec must yield nullopt (a loud usage error at
-    // the CLI), never a silently-adjusted bundle.
-    EXPECT_EQ(parseOptKnobs(""), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("everything"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-pipeline,bogus"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("BMT-PIPELINE"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-pipeline,"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window="), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=0"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=-1"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=4x"), std::nullopt);
-    EXPECT_EQ(parseOptKnobs("bmt-window=999999999"), std::nullopt);
+    // Repro lines print bmtPipelineSpec unconditionally; the printed
+    // spec must rebuild the same engine.
+    for (const bool piped : {false, true})
+        EXPECT_EQ(parseBmtPipelineSpec(bmtPipelineSpec(piped)),
+                  std::optional<bool>(piped));
 }
 
-TEST(OptKnobsConfig, FormatParseRoundTrips)
+TEST(BmtPipelineSwitch, PaperDefaultWithSwitchOffIsFullySerial)
 {
-    // Repro lines print formatOptKnobs unconditionally; the printed
-    // spec must parse back to the identical bundle.
-    const bool onoff[] = {false, true};
-    for (const bool bp : onoff)
-        for (const bool db : onoff)
-            for (const bool tp : onoff)
-                for (const bool window : onoff) {
-                    OptKnobs k;
-                    k.bmtPipeline = bp;
-                    k.drainBatching = db;
-                    k.tagPrefetch = tp;
-                    if (window)
-                        k.bmtPipelineWindow = 9;
-                    const std::string spec = formatOptKnobs(k);
-                    const auto back = parseOptKnobs(spec);
-                    ASSERT_TRUE(back) << spec;
-                    EXPECT_EQ(back->bmtPipeline, k.bmtPipeline) << spec;
-                    EXPECT_EQ(back->drainBatching, k.drainBatching)
-                        << spec;
-                    EXPECT_EQ(back->tagPrefetch, k.tagPrefetch) << spec;
-                    EXPECT_EQ(back->bmtPipelineWindow,
-                              k.bmtPipelineWindow)
-                        << spec;
-                }
-    EXPECT_EQ(formatOptKnobs(OptKnobs{}), "all");
-    OptKnobs off;
-    off.bmtPipeline = off.drainBatching = off.tagPrefetch = false;
-    EXPECT_EQ(formatOptKnobs(off), "none");
-}
-
-TEST(OptKnobsConfig, ZeroPipelineWindowIsRejectedByValidation)
-{
-    auto cfg = SystemConfig::paperDefault();
-    cfg.secure.bmtPipeline = true;
-    cfg.secure.bmtPipelineWindow = 0;
-    EXPECT_NE(validateConfig(cfg).find("bmtPipelineWindow"),
-              std::string::npos)
-        << validateConfig(cfg);
-    EXPECT_THROW({ System sys(cfg); }, std::invalid_argument);
-
-    // With the pipeline off the window is dormant and unconstrained.
-    cfg.secure.bmtPipeline = false;
-    EXPECT_EQ(validateConfig(cfg), "");
-}
-
-TEST(OptKnobsConfig, ApplyOverridesEveryLayer)
-{
-    auto cfg = SystemConfig::paperDefault();
-    OptKnobs k;
-    k.bmtPipeline = false;
-    k.drainBatching = false;
-    k.tagPrefetch = true;
-    k.bmtPipelineWindow = 11;
-    applyOptKnobs(cfg, k);
-    EXPECT_FALSE(cfg.secure.bmtPipeline);
-    EXPECT_FALSE(cfg.wpq.drainBatching);
-    EXPECT_TRUE(cfg.secure.tagPrefetch);
-    EXPECT_EQ(cfg.secure.bmtPipelineWindow, 11u);
-
-    // No window in the bundle keeps the config's own value.
-    auto cfg2 = SystemConfig::paperDefault();
-    cfg2.secure.bmtPipelineWindow = 6;
-    applyOptKnobs(cfg2, OptKnobs{});
-    EXPECT_EQ(cfg2.secure.bmtPipelineWindow, 6u);
+    // The one switch decides the engine: with it off, the paper's
+    // machine is the serial Ma-SU, so back-to-back writes sit at
+    // least one full security latency (AES + 10 MACs) apart.
+    const Cycles full_latency = 40 + 10 * 160;
+    for (const bool piped : {false, true}) {
+        auto cfg = SystemConfig::paperDefault();
+        cfg.secure.bmtPipeline = piped;
+        NvmDevice nvm(cfg.nvm);
+        SecurityEngine eng(cfg.secure, nvm);
+        const auto r1 = eng.secureWrite(0x1000, Block{}, 0);
+        const auto r2 = eng.secureWrite(0x1040, Block{}, 10);
+        if (piped)
+            EXPECT_LT(r2.doneTick, r1.doneTick + full_latency);
+        else
+            EXPECT_GE(r2.doneTick, r1.doneTick + full_latency);
+    }
 }
 
 } // namespace

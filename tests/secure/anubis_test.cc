@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "secure/anubis.hh"
 
 namespace
@@ -16,9 +16,8 @@ using namespace dolos;
 struct AnubisTest : ::testing::Test
 {
     NvmDevice nvm{NvmParams{}};
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {7, 7, 7, 7});
-    AnubisShadow shadow{16, nvm, *mac};
+    const crypto::SipHashMac mac{{7, 7, 7, 7}};
+    AnubisShadow shadow{16, nvm, mac};
 
     CounterPage
     page(std::uint64_t major, std::uint8_t minor0) const

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "secure/merkle_tree.hh"
 
 namespace
@@ -15,13 +15,12 @@ using namespace dolos;
 
 struct MerkleTreeTest : ::testing::Test
 {
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {1, 2, 3, 4, 5, 6, 7, 8});
+    const crypto::SipHashMac mac{{1, 2, 3, 4, 5, 6, 7, 8}};
 };
 
 TEST_F(MerkleTreeTest, GeometryForPowerOfEight)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     ASSERT_EQ(t.numLevels(), 3u);
     EXPECT_EQ(t.levelSize(0), 64u);
     EXPECT_EQ(t.levelSize(1), 8u);
@@ -30,7 +29,7 @@ TEST_F(MerkleTreeTest, GeometryForPowerOfEight)
 
 TEST_F(MerkleTreeTest, GeometryForRaggedLeafCount)
 {
-    MerkleTree t(100, *mac);
+    MerkleTree t(100, mac);
     ASSERT_EQ(t.numLevels(), 4u);
     EXPECT_EQ(t.levelSize(1), 13u);
     EXPECT_EQ(t.levelSize(2), 2u);
@@ -39,7 +38,7 @@ TEST_F(MerkleTreeTest, GeometryForRaggedLeafCount)
 
 TEST_F(MerkleTreeTest, SingleLeafTreeIsJustRoot)
 {
-    MerkleTree t(1, *mac);
+    MerkleTree t(1, mac);
     EXPECT_EQ(t.numLevels(), 1u);
     CounterPage p;
     p.major = 1;
@@ -49,7 +48,7 @@ TEST_F(MerkleTreeTest, SingleLeafTreeIsJustRoot)
 
 TEST_F(MerkleTreeTest, EmptyTreeUsesDefaults)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     EXPECT_EQ(t.numStoredNodes(), 0u);
     EXPECT_EQ(t.root(), t.defaultTag(2));
     EXPECT_EQ(t.nodeTag(0, 5), t.defaultTag(0));
@@ -57,7 +56,7 @@ TEST_F(MerkleTreeTest, EmptyTreeUsesDefaults)
 
 TEST_F(MerkleTreeTest, UpdateLeafChangesRoot)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     const auto root0 = t.root();
     CounterPage p;
     p.minors[0] = 1;
@@ -67,7 +66,7 @@ TEST_F(MerkleTreeTest, UpdateLeafChangesRoot)
 
 TEST_F(MerkleTreeTest, UpdateOnlyAffectsOwnPath)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     CounterPage p;
     p.minors[0] = 1;
     t.updateLeaf(0, p); // path: leaf 0, node (1,0)
@@ -77,7 +76,7 @@ TEST_F(MerkleTreeTest, UpdateOnlyAffectsOwnPath)
 
 TEST_F(MerkleTreeTest, SameContentSameRoot)
 {
-    MerkleTree a(64, *mac), b(64, *mac);
+    MerkleTree a(64, mac), b(64, mac);
     CounterPage p;
     p.major = 5;
     a.updateLeaf(10, p);
@@ -89,7 +88,7 @@ TEST_F(MerkleTreeTest, DifferentLeafPositionDifferentRoot)
 {
     // Relocation: the same page content installed at another leaf
     // must produce a different root.
-    MerkleTree a(64, *mac), b(64, *mac);
+    MerkleTree a(64, mac), b(64, mac);
     CounterPage p;
     p.major = 5;
     a.updateLeaf(10, p);
@@ -99,7 +98,7 @@ TEST_F(MerkleTreeTest, DifferentLeafPositionDifferentRoot)
 
 TEST_F(MerkleTreeTest, RebuildMatchesIncrementalUpdates)
 {
-    MerkleTree inc(512, *mac), reb(512, *mac);
+    MerkleTree inc(512, mac), reb(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     for (Addr i = 0; i < 20; ++i) {
         CounterPage p;
@@ -114,7 +113,7 @@ TEST_F(MerkleTreeTest, RebuildMatchesIncrementalUpdates)
 
 TEST_F(MerkleTreeTest, RebuildAfterClearRestoresRoot)
 {
-    MerkleTree t(512, *mac);
+    MerkleTree t(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     for (Addr i = 0; i < 10; ++i) {
         CounterPage p;
@@ -130,14 +129,14 @@ TEST_F(MerkleTreeTest, RebuildAfterClearRestoresRoot)
 
 TEST_F(MerkleTreeTest, TamperedPageChangesRootOnRebuild)
 {
-    MerkleTree t(512, *mac);
+    MerkleTree t(512, mac);
     std::unordered_map<Addr, CounterPage> pages;
     CounterPage p;
     p.minors[7] = 3;
     t.updateLeaf(100, p);
     pages[100] = p;
     pages[100].minors[7] = 4; // attacker rolls the counter forward
-    MerkleTree t2(512, *mac);
+    MerkleTree t2(512, mac);
     t2.rebuild(pages);
     EXPECT_NE(t.root(), t2.root());
 }
@@ -146,21 +145,20 @@ TEST_F(MerkleTreeTest, LevelTagPreventsHeightConfusion)
 {
     // A node's tag at level 1 over default children differs from the
     // level-2 tag over default children: level is bound into the MAC.
-    MerkleTree t(4096, *mac); // levels: 4096, 512, 64, 8, 1
+    MerkleTree t(4096, mac); // levels: 4096, 512, 64, 8, 1
     EXPECT_NE(t.defaultTag(1), t.defaultTag(2));
 }
 
 TEST_F(MerkleTreeTest, MacKeyBindsTree)
 {
-    auto mac2 = crypto::makeMacEngine(crypto::MacKind::SipHash24,
-                                      {9, 9, 9, 9});
-    MerkleTree a(64, *mac), b(64, *mac2);
+    const crypto::SipHashMac mac2({9, 9, 9, 9});
+    MerkleTree a(64, mac), b(64, mac2);
     EXPECT_NE(a.root(), b.root());
 }
 
 TEST_F(MerkleTreeTest, DeathOnOutOfRangeLeaf)
 {
-    MerkleTree t(64, *mac);
+    MerkleTree t(64, mac);
     CounterPage p;
     EXPECT_DEATH(t.updateLeaf(64, p), "out of range");
 }

@@ -24,10 +24,8 @@ testParams()
     p.counterCache = {"counterCache", 4 * 1024, 4};
     p.mtCache = {"mtCache", 4 * 1024, 8};
     // These tests pin the paper's serial latency composition; the
-    // (now default-on) levers are covered by bmt_pipeline_test,
-    // drain_batch_test and tag_prefetch_test.
+    // (default-on) pipelined engine is covered by bmt_pipeline_test.
     p.bmtPipeline = false;
-    p.tagPrefetch = false;
     for (int i = 0; i < 16; ++i) {
         p.dataKey[i] = std::uint8_t(i + 1);
         p.macKey[i] = std::uint8_t(0x80 + i);
@@ -125,7 +123,7 @@ TEST_F(SecurityEngineTest, ColdCounterMissAddsNvmFetch)
 
 TEST_F(SecurityEngineTest, SerialEngineFullySerializesWrites)
 {
-    // Default (paper) model: back-to-back writes each occupy the
+    // Paper (serial) model: back-to-back writes each occupy the
     // engine for the full security latency.
     const auto r1 = eng.secureWrite(0x1000, pattern(0), 0);
     const auto r2 = eng.secureWrite(0x1040, pattern(1), 10);
@@ -134,15 +132,30 @@ TEST_F(SecurityEngineTest, SerialEngineFullySerializesWrites)
 
 TEST_F(SecurityEngineTest, PipelinedEngineIssuesEveryMacSlot)
 {
-    // Ablation model: same page (counter hit for the second write),
-    // writes complete one MAC slot (160 cycles) apart.
+    // Pipelined engine: a new write enters one MAC slot (160 cycles)
+    // after the previous write's crypto started. Warm both counter
+    // blocks first, then wait until the warm-up climbs retire, so
+    // every write below hits the counter cache.
     auto p = testParams();
-    p.pipelinedWrites = true;
+    p.bmtPipeline = true;
     NvmDevice nvm2{NvmParams{}};
     SecurityEngine piped(p, nvm2);
-    const auto r1 = piped.secureWrite(0x1000, pattern(0), 0);
-    const auto r2 = piped.secureWrite(0x1040, pattern(1), 10);
-    EXPECT_EQ(r2.doneTick, r1.doneTick + 160);
+    piped.secureWrite(0x1000, pattern(0), 0);
+    piped.secureWrite(0x9000, pattern(0), 0);
+    const Tick t0 = 1'000'000;
+
+    // Nothing in flight: the full climb (AES + 10 MACs) is charged.
+    const auto r1 = piped.secureWrite(0x1000, pattern(1), t0);
+    EXPECT_EQ(piped.busyUntil(), t0 + 160);
+    EXPECT_EQ(r1.doneTick, t0 + 40 + 10 * 160);
+
+    // Page 9 enters one slot later. Its path joins page 1's in-flight
+    // climb at level 2 (9 >> 6 == 1 >> 6): two levels are charged,
+    // the rest coalesce, and the root is updated last, so it
+    // completes with the climb it joined.
+    const auto r2 = piped.secureWrite(0x9040, pattern(2), t0);
+    EXPECT_EQ(piped.busyUntil(), t0 + 2 * 160);
+    EXPECT_EQ(r2.doneTick, r1.doneTick);
 }
 
 TEST_F(SecurityEngineTest, TamperedCiphertextDetectedOnRead)

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/mac_engine.hh"
+#include "crypto/siphash.hh"
 #include "secure/toc.hh"
 
 namespace
@@ -16,9 +16,8 @@ using namespace dolos;
 
 struct TocTest : ::testing::Test
 {
-    std::unique_ptr<crypto::MacEngine> mac = crypto::makeMacEngine(
-        crypto::MacKind::SipHash24, {3, 1, 4, 1, 5});
-    TreeOfCounters toc{64, *mac}; // 64 leaves, 3 levels
+    const crypto::SipHashMac mac{{3, 1, 4, 1, 5}};
+    TreeOfCounters toc{64, mac}; // 64 leaves, 3 levels
 };
 
 TEST_F(TocTest, WriteBumpsLeafVersionLazily)
@@ -98,7 +97,7 @@ TEST_F(TocTest, ShadowRootTracksDirtyState)
 
 TEST_F(TocTest, SingleLeafDegenerateTree)
 {
-    TreeOfCounters tiny(1, *mac);
+    TreeOfCounters tiny(1, mac);
     EXPECT_EQ(tiny.numLevels(), 1u);
     tiny.writeLeaf(0);
     EXPECT_EQ(tiny.rootVersion(), 1u);

@@ -16,7 +16,7 @@ namespace
 using namespace dolos;
 
 SecureParams
-testParams(bool pipeline, unsigned window = 4)
+testParams(bool pipeline)
 {
     SecureParams p;
     p.functionalLeaves = 256;
@@ -24,7 +24,6 @@ testParams(bool pipeline, unsigned window = 4)
     p.counterCache = {"counterCache", 4 * 1024, 4};
     p.mtCache = {"mtCache", 4 * 1024, 8};
     p.bmtPipeline = pipeline;
-    p.bmtPipelineWindow = window;
     for (int i = 0; i < 16; ++i) {
         p.dataKey[i] = std::uint8_t(i + 1);
         p.macKey[i] = std::uint8_t(0x80 + i);
@@ -47,8 +46,7 @@ constexpr Tick kMac = 160; // SecureParams::macLatency default
 
 struct PipelineRig
 {
-    explicit PipelineRig(bool pipeline, unsigned window = 4)
-        : eng(testParams(pipeline, window), nvm)
+    explicit PipelineRig(bool pipeline) : eng(testParams(pipeline), nvm)
     {
     }
 
@@ -124,27 +122,30 @@ TEST(BmtPipeline, RetiredClimbsDoNotCoalesce)
 
 TEST(BmtPipeline, WindowEvictsOldestClimb)
 {
-    // Window of 1: after writing pages 0 then 8, only page 8's climb
-    // is retained. A third write to page 0 can only join page 8's
+    // The window holds the newest bmtCoalesceWindow (4) climbs. After
+    // writing pages 0, 8, 16, 24 and 32, page 0's climb has been
+    // pushed out: a rewrite of page 0 can only join a neighbour's
     // path (7 shared levels), not its own earlier full path (9).
-    PipelineRig rig(true, /*window=*/1);
-    const Tick t0 = warmPages(rig, {0x0000, 0x8000});
-    rig.eng.secureWrite(0x0000, pattern(1), t0);
-    rig.eng.secureWrite(0x8000, pattern(2), t0);
-    const auto after_two = rig.eng.bmtCoalescedUpdates();
+    static_assert(bmtCoalesceWindow == 4);
+    PipelineRig rig(true);
+    const Tick t0 =
+        warmPages(rig, {0x0000, 0x8000, 0x10000, 0x18000, 0x20000});
+    for (const Addr a : {0x0000, 0x8000, 0x10000, 0x18000, 0x20000})
+        rig.eng.secureWrite(a, pattern(1), t0);
+    const auto after_five = rig.eng.bmtCoalescedUpdates();
     rig.eng.secureWrite(0x0040, pattern(3), t0);
-    EXPECT_EQ(rig.eng.bmtCoalescedUpdates() - after_two,
+    EXPECT_EQ(rig.eng.bmtCoalescedUpdates() - after_five,
               kBmtLevels - 2);
 
-    // A wide window keeps page 0's climb in flight, so the same
-    // third write fully coalesces.
-    PipelineRig wide(true, /*window=*/4);
-    const Tick t1 = warmPages(wide, {0x0000, 0x8000});
-    wide.eng.secureWrite(0x0000, pattern(1), t1);
-    wide.eng.secureWrite(0x8000, pattern(2), t1);
-    const auto wide_two = wide.eng.bmtCoalescedUpdates();
-    wide.eng.secureWrite(0x0040, pattern(3), t1);
-    EXPECT_EQ(wide.eng.bmtCoalescedUpdates() - wide_two, kBmtLevels);
+    // With one climb fewer, page 0's climb is still in the window,
+    // so the same rewrite fully coalesces.
+    PipelineRig four(true);
+    const Tick t1 = warmPages(four, {0x0000, 0x8000, 0x10000, 0x18000});
+    for (const Addr a : {0x0000, 0x8000, 0x10000, 0x18000})
+        four.eng.secureWrite(a, pattern(1), t1);
+    const auto after_four = four.eng.bmtCoalescedUpdates();
+    four.eng.secureWrite(0x0040, pattern(3), t1);
+    EXPECT_EQ(four.eng.bmtCoalescedUpdates() - after_four, kBmtLevels);
 }
 
 TEST(BmtPipeline, RootIsAlwaysUpdatedLast)

@@ -1,10 +1,11 @@
 /**
  * @file
- * Microstep crash-point tests: power failures *inside* the optimized
- * persist path. The registry's probe/arm contract, committed-prefix
- * recovery from mid-climb BMT pipeline crashes and drainBatching
- * elision points, the root-commit window under both crash schemes,
- * and the compound crash-during-recovery case.
+ * Microstep crash-point tests: power failures *inside* the persist
+ * path. The registry's probe/arm contract, committed-prefix recovery
+ * from mid-climb BMT pipeline crashes and from crashes while an older
+ * same-line entry drains ahead of its newer copy, the root-commit
+ * window under both crash schemes, and the compound
+ * crash-during-recovery case.
  *
  * Every armed run replays a machine a probe run enumerated, so a
  * silent non-firing is itself a failure (CrashPointResult.crashFired).
@@ -26,15 +27,15 @@ using namespace dolos;
 using namespace dolos::verify;
 namespace cp = dolos::crashpoint;
 
-/** Small machine, levers at their (default-on) settings. */
+/** Small machine, pipelined Ma-SU (the default). */
 SystemConfig
 smallBase()
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.secure.functionalLeaves = 2048;
     cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
-    // A tiny counter cache pressures the levers: prefetches face real
-    // misses and dirty victims, dirty counter blocks get evicted.
+    // A tiny counter cache forces real counter misses and evictions
+    // of dirty counter blocks.
     cfg.secure.counterCache = {"counterCache", 512, 2};
     cfg.secure.mtCache = {"mtCache", 16 * 1024, 8};
     cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
@@ -51,7 +52,7 @@ sweepFor(SecurityMode mode)
     opt.workload = "hashmap";
     opt.numTx = 3;
     // Page-spanning transactions so counter-block misses (and with
-    // them the whole prefetch family) occur during the measured run.
+    // them counter evictions) occur during the measured run.
     opt.params.txSize = 6144;
     opt.params.numKeys = 1024;
     opt.params.thinkTime = 400;
@@ -117,7 +118,7 @@ TEST(CrashPointRegistry, CountsRecordsArmsAndAutoDisarms)
     reg.fire(cp::Step::MasuBmtLevel);
     EXPECT_EQ(reg.firings(), 3u);
     EXPECT_EQ(reg.firingsOf(cp::Step::MasuBmtLevel), 2u);
-    EXPECT_EQ(reg.firingsOf(cp::Step::WpqDrainElide), 0u);
+    EXPECT_EQ(reg.firingsOf(cp::Step::WpqCtWrite), 0u);
     ASSERT_EQ(reg.sequence().size(), 3u);
     EXPECT_EQ(reg.sequence()[0], cp::Step::MasuCtrFetch);
     EXPECT_EQ(reg.sequence()[2], cp::Step::MasuBmtLevel);
@@ -131,14 +132,14 @@ TEST(CrashPointRegistry, CountsRecordsArmsAndAutoDisarms)
     EXPECT_NO_THROW(reg.fire(cp::Step::WpqDrainIssue)); // index 0
     EXPECT_FALSE(reg.crashFired());
     try {
-        reg.fire(cp::Step::WpqDrainElide); // index 1: the armed one
+        reg.fire(cp::Step::MasuBmtCoalesce); // index 1: the armed one
         FAIL() << "expected MicrostepCrash";
     } catch (const cp::MicrostepCrash &c) {
-        EXPECT_EQ(c.step, cp::Step::WpqDrainElide);
+        EXPECT_EQ(c.step, cp::Step::MasuBmtCoalesce);
         EXPECT_EQ(c.index, 1u);
     }
     EXPECT_TRUE(reg.crashFired());
-    EXPECT_EQ(reg.firedStep(), cp::Step::WpqDrainElide);
+    EXPECT_EQ(reg.firedStep(), cp::Step::MasuBmtCoalesce);
     // Auto-disarmed: recovery's own persist traffic cannot re-trip.
     EXPECT_NO_THROW(reg.fire(cp::Step::WpqCtWrite));
     EXPECT_EQ(reg.firings(), 3u);
@@ -151,16 +152,15 @@ TEST(MicrostepProbe, EveryLeverFamilyFiresUnderDefaults)
     const auto seq = probeSequence(opt);
     ASSERT_FALSE(seq.empty());
 
-    // Every step except WpqDrainElide, which needs insertion
-    // coalescing off and is covered by the controller rigs below.
+    // Every Ma-SU and drain step, the pipeline's coalesce included
+    // (the eADR flush steps fire only inside an eADR crash).
     const cp::Step expected[] = {
-        cp::Step::MasuCtrFetch,        cp::Step::MasuCtrBumped,
-        cp::Step::MasuAesPad,          cp::Step::MasuMacStored,
-        cp::Step::MasuBmtLevel,        cp::Step::MasuBmtCoalesce,
-        cp::Step::MasuRootCommit,      cp::Step::MasuCtrEvict,
-        cp::Step::WpqDrainIssue,       cp::Step::WpqCtWrite,
-        cp::Step::WpqRedoClear,        cp::Step::PrefetchIssue,
-        cp::Step::PrefetchDirtyBackoff, cp::Step::PrefetchPromote,
+        cp::Step::MasuCtrFetch,   cp::Step::MasuCtrBumped,
+        cp::Step::MasuAesPad,     cp::Step::MasuMacStored,
+        cp::Step::MasuBmtLevel,   cp::Step::MasuBmtCoalesce,
+        cp::Step::MasuRootCommit, cp::Step::MasuCtrEvict,
+        cp::Step::WpqDrainIssue,  cp::Step::WpqCtWrite,
+        cp::Step::WpqRedoClear,
     };
     for (const auto step : expected)
         EXPECT_FALSE(indicesOf(seq, step).empty())
@@ -219,8 +219,10 @@ TEST(MicrostepCrash, CrashDuringRecoveryAtMicrostepPoint)
 }
 
 // ---------------------------------------------------------------------
-// drainBatching elision points, at controller level: crash exactly at
-// the elision decision and recover the newest value.
+// A superseded same-line entry, at controller level: with insertion
+// coalescing off, an older and a newer write to one line sit in the
+// WPQ together and the older one drains first. Power dying anywhere
+// in those drains must recover the newest value.
 
 SystemConfig
 rigConfig()
@@ -229,10 +231,7 @@ rigConfig()
     cfg.mode = SecurityMode::DolosPartialWpq;
     cfg.secure.functionalLeaves = 256;
     cfg.secure.map.protectedBytes = Addr(256) * pageBytes;
-    // Batching is only reachable when insertion coalescing missed the
-    // merge, so the rig disables coalescing (as drain_batch_test does).
     cfg.wpq.coalescing = false;
-    cfg.wpq.drainBatching = true;
     return cfg;
 }
 
@@ -268,86 +267,72 @@ struct Rig
     std::unique_ptr<SecureMemController> mc;
 };
 
-TEST(MicrostepCrash, DrainElisionPointRecoversNewestValue)
+/** Firing sequence of the rig's traffic, drained to completion. */
+std::vector<cp::Step>
+probeRig()
 {
     auto &reg = cp::Registry::instance();
+    Rig probe;
+    reg.reset();
+    reg.enableCounting();
+    probe.queueSupersededPair();
+    probe.mc->drainTo(10'000'000);
+    const std::vector<cp::Step> seq = reg.sequence();
+    reg.reset();
+    return seq;
+}
 
-    // Probe rig: find the firing index of the elision decision.
-    std::uint64_t elide_idx = 0;
-    {
-        Rig probe;
-        reg.reset();
-        reg.enableCounting();
-        probe.queueSupersededPair();
-        probe.mc->drainTo(10'000'000);
-        ASSERT_GT(reg.firingsOf(cp::Step::WpqDrainElide), 0u);
-        const auto idxs =
-            indicesOf(reg.sequence(), cp::Step::WpqDrainElide);
-        elide_idx = idxs.front();
-        reg.reset();
-    }
-
-    // Armed replay: identical traffic, crash at that exact decision.
+/**
+ * Replay the rig's traffic with power failing at firing @p idx
+ * (expected to be a @p step), recover, and check the newest values.
+ */
+void
+expectRigCrashRecovers(std::uint64_t idx, cp::Step step)
+{
+    auto &reg = cp::Registry::instance();
     Rig rig;
     reg.reset();
-    reg.arm(elide_idx);
+    reg.arm(idx);
     bool fired = false;
     try {
         rig.queueSupersededPair();
         rig.mc->drainTo(10'000'000);
     } catch (const cp::MicrostepCrash &c) {
-        EXPECT_EQ(c.step, cp::Step::WpqDrainElide);
+        EXPECT_EQ(c.step, step) << idx;
         fired = true;
     }
-    ASSERT_TRUE(fired) << "armed replay diverged from the probe";
     reg.reset();
+    ASSERT_TRUE(fired) << "armed replay diverged from the probe at "
+                       << idx;
 
     // Power dies mid-drain: ADR dumps the WPQ as found (the drain in
     // flight is NOT completed), then recovery re-drains the dump.
     rig.mc->crash(10'000'000, /*complete_in_flight=*/false);
-    const auto rec = rig.mc->recover();
-    EXPECT_TRUE(rec.misuVerified);
-    EXPECT_EQ(rig.mc->readBlock(0x1000, 20'000'000).data, pattern(2));
-    EXPECT_EQ(rig.mc->readBlock(0x2000, 20'000'000).data, pattern(3));
-    EXPECT_FALSE(rig.eng->attackDetected());
+    EXPECT_TRUE(rig.mc->recover().misuVerified) << idx;
+    EXPECT_EQ(rig.mc->readBlock(0x1000, 20'000'000).data, pattern(2))
+        << idx;
+    EXPECT_EQ(rig.mc->readBlock(0x2000, 20'000'000).data, pattern(3))
+        << idx;
+    EXPECT_FALSE(rig.eng->attackDetected()) << idx;
 }
 
-TEST(MicrostepCrash, EveryElisionFiringRecoversIdentically)
+TEST(MicrostepCrash, SupersededDrainCrashRecoversNewestValue)
 {
-    auto &reg = cp::Registry::instance();
+    // The older entry's ciphertext has reached NVM while the newer
+    // same-line entry is still queued: recovery must not let the
+    // stale write win.
+    const auto seq = probeRig();
+    const auto ct_writes = indicesOf(seq, cp::Step::WpqCtWrite);
+    ASSERT_EQ(ct_writes.size(), 3u);
+    expectRigCrashRecovers(ct_writes.front(), cp::Step::WpqCtWrite);
+}
 
-    std::vector<std::uint64_t> idxs;
-    {
-        Rig probe;
-        reg.reset();
-        reg.enableCounting();
-        probe.queueSupersededPair();
-        probe.mc->drainTo(10'000'000);
-        idxs = indicesOf(reg.sequence(), cp::Step::WpqDrainElide);
-        reg.reset();
-    }
-    ASSERT_FALSE(idxs.empty());
-
-    for (const std::uint64_t idx : idxs) {
-        Rig rig;
-        reg.reset();
-        reg.arm(idx);
-        bool fired = false;
-        try {
-            rig.queueSupersededPair();
-            rig.mc->drainTo(10'000'000);
-        } catch (const cp::MicrostepCrash &) {
-            fired = true;
-        }
-        reg.reset();
-        ASSERT_TRUE(fired) << "index " << idx;
-        rig.mc->crash(10'000'000, /*complete_in_flight=*/false);
-        EXPECT_TRUE(rig.mc->recover().misuVerified) << idx;
-        EXPECT_EQ(rig.mc->readBlock(0x1000, 20'000'000).data,
-                  pattern(2))
-            << idx;
-        EXPECT_FALSE(rig.eng->attackDetected()) << idx;
-    }
+TEST(MicrostepCrash, EverySupersededPairFiringRecoversNewestValue)
+{
+    const auto seq = probeRig();
+    ASSERT_FALSE(seq.empty());
+    for (std::uint64_t idx = 0; idx < seq.size(); ++idx)
+        expectRigCrashRecovers(idx, seq[idx]);
 }
 
 } // namespace

@@ -103,7 +103,9 @@ TEST(StatTimeline, WindowDeltasReconcileWithFinalStats)
 
     // The derived persist-path series exist and are window-aligned.
     const auto derived = sampler.derivedSeries();
-    ASSERT_EQ(derived.size(), 3u);
+    ASSERT_EQ(derived.size(), 2u);
+    EXPECT_EQ(derived[0].first, "drainsPerKcycle");
+    EXPECT_EQ(derived[1].first, "wpqStallFraction");
     for (const auto &[name, series] : derived)
         EXPECT_EQ(series.size(), sampler.windowCount()) << name;
 }

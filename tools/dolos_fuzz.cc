@@ -19,8 +19,9 @@
  *   REPRO: dolos_fuzz --mode M --workload W --seed S --crash-op N
  *          --fault F --opt-knobs K
  *
- * which re-runs exactly that episode (the knob state is part of the
- * machine under test, so every repro line spells it out). Campaigns:
+ * which re-runs exactly that episode (the Ma-SU engine choice is part
+ * of the machine under test, so every repro line spells it out).
+ * Campaigns:
  *
  *   dolos_fuzz --campaign smoke     (CI: ~2 episodes per mode+workload)
  *   dolos_fuzz --campaign nightly   (8 episodes per mode+workload)
@@ -81,10 +82,8 @@ usage(int code)
         "bmt-flip|torn-adr-dump|dropped-clwb|\n"
         "                   media-transient|media-stuck|"
         "media-write-fail\n"
-        "  --opt-knobs K    persist-path lever set: all|none|"
-        "comma list of\n"
-        "                   bmt-pipeline,drain-batch,tag-prefetch"
-        "[,bmt-window=N]\n"
+        "  --opt-knobs K    all: pipelined Ma-SU engine (default); "
+        "none: serial\n"
         "  --heartbeat N    emit an NDJSON progress record to "
         "stderr every N episodes\n"
         "                   (campaigns; default 5, 0 = off)\n"
@@ -121,13 +120,13 @@ modeCliName(SecurityMode mode)
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 std::uint64_t episodeTxns = 4;
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
-OptKnobs gOptKnobs; ///< defaults to all levers on
+bool gBmtPipeline = true; ///< --opt-knobs all|none
 
 SystemConfig
 smallConfig(SecurityMode mode)
 {
     auto cfg = SystemConfig::paperDefault();
-    applyOptKnobs(cfg, gOptKnobs);
+    cfg.secure.bmtPipeline = gBmtPipeline;
     cfg.mode = mode;
     cfg.secure.functionalLeaves = 8192;
     cfg.secure.map.protectedBytes = Addr(8192) * pageBytes;
@@ -331,7 +330,7 @@ printRepro(const EpisodeSpec &spec)
                 (unsigned long long)spec.seed,
                 (unsigned long long)spec.crashOp,
                 faultKindName(spec.fault),
-                formatOptKnobs(gOptKnobs).c_str());
+                bmtPipelineSpec(gBmtPipeline));
 }
 
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
@@ -369,9 +368,9 @@ runCampaign(const std::string &name, std::uint64_t base_seed)
                 "(replay: dolos_fuzz --campaign %s --seed %llu "
                 "--opt-knobs %s)\n",
                 name.c_str(), (unsigned long long)base_seed,
-                formatOptKnobs(gOptKnobs).c_str(), campaignJobs,
+                bmtPipelineSpec(gBmtPipeline), campaignJobs,
                 name.c_str(), (unsigned long long)base_seed,
-                formatOptKnobs(gOptKnobs).c_str());
+                bmtPipelineSpec(gBmtPipeline));
 
     // Materialize the episode list first: the spec for every episode
     // is a pure function of (base seed, mode, workload, episode
@@ -510,13 +509,13 @@ main(int argc, char **argv)
         } else if (a == "--summary-json") {
             summaryJsonFile = value();
         } else if (a == "--opt-knobs") {
-            const auto knobs = parseOptKnobs(value());
-            if (!knobs) {
-                std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
-                             argv[i]);
+            const auto piped = parseBmtPipelineSpec(value());
+            if (!piped) {
+                std::fprintf(stderr, "--opt-knobs takes all|none, not "
+                             "'%s'\n", argv[i]);
                 usage(ExitUsage);
             }
-            gOptKnobs = *knobs;
+            gBmtPipeline = *piped;
         } else if (a == "--fault") {
             const auto kind = parseFaultKind(value());
             if (!kind) {

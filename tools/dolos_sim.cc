@@ -61,7 +61,7 @@ struct Options
     std::optional<std::uint64_t> eadrBudget; ///< --eadr-budget cycles
     bool verifyManifest = false; ///< --verify-manifest: crash-state check
     bool verifyPerfEquiv = false; ///< --verify-perf-equiv: timing diff
-    std::string optKnobs; ///< --opt-knobs: none|all|comma list
+    std::string optKnobs; ///< --opt-knobs: all|none
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
     bool selfbench = false;   ///< --selfbench: host-speed self-profile
@@ -113,12 +113,12 @@ usage(int code)
         "                      Mi-SU modes plus eadr, then exit "
         "(uses --seed)\n"
         "  --verify-perf-equiv run the timing-vs-state differential of\n"
-        "                      the persist-path optimization knobs\n"
-        "                      (off vs on) over the tier-1 workloads in\n"
-        "                      all three Mi-SU modes, then exit\n"
-        "  --opt-knobs SPEC    persist-path optimizations: none|all|\n"
-        "                      comma list of bmt-pipeline,drain-batch,\n"
-        "                      tag-prefetch (default none)\n"
+        "                      the serial vs pipelined Ma-SU engine\n"
+        "                      over the tier-1 workloads in all three\n"
+        "                      Mi-SU modes, then exit\n"
+        "  --opt-knobs SPEC    all: pipelined Ma-SU engine with\n"
+        "                      shared-ancestor coalescing (default);\n"
+        "                      none: the paper's serial Ma-SU\n"
         "  --sample-interval N sample the stat tree every N simulated\n"
         "                      cycles into a windowed timeline\n"
         "  --stats-timeline F  write the timeline to F (JSON, or CSV\n"
@@ -374,13 +374,13 @@ main(int argc, char **argv)
         o.wpqBudget > 6 ? o.wpqBudget * 8 / 9 - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
     if (!o.optKnobs.empty()) {
-        const auto knobs = parseOptKnobs(o.optKnobs);
-        if (!knobs) {
-            std::fprintf(stderr, "unknown opt knob in '%s'\n",
+        const auto piped = parseBmtPipelineSpec(o.optKnobs);
+        if (!piped) {
+            std::fprintf(stderr, "--opt-knobs takes all|none, not '%s'\n",
                          o.optKnobs.c_str());
             usage(ExitUsage);
         }
-        applyOptKnobs(cfg, *knobs);
+        cfg.secure.bmtPipeline = *piped;
     }
     cfg.secure.scrubIntervalWrites = o.scrubInterval;
     if (o.spares)

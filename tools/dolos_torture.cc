@@ -137,8 +137,8 @@ usage(int code)
         "  --plant-bug   drop-clwb:K | bad-counter-repair\n"
         "  --meta-faults (sweep) stick a metadata bit at every crash "
         "point\n"
-        "  --opt-knobs   persist-path levers for every episode: "
-        "none|all|bmt-pipeline,drain-batch,tag-prefetch\n"
+        "  --opt-knobs   Ma-SU engine for every episode: "
+        "all (pipelined, default) | none (serial)\n"
         "  --heartbeat N emit an NDJSON progress record to stderr "
         "every N cases\n"
         "                (campaign and sweep; default 5, 0 = off)\n"
@@ -152,12 +152,12 @@ usage(int code)
 }
 
 /**
- * Persist-path optimization levers (--opt-knobs), applied to every
- * configuration the harness builds: campaigns, replays, planted-bug
- * hunts, and sweeps all torture the optimized machine.
+ * Pipelined (all) or serial (none) Ma-SU engine (--opt-knobs),
+ * applied to every configuration the harness builds: campaigns,
+ * replays, planted-bug hunts, and sweeps.
  */
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
-OptKnobs gOptKnobs;
+bool gBmtPipeline = true;
 
 /**
  * eADR holdup energy budget override (--eadr-budget). Validated
@@ -179,7 +179,7 @@ tortureConfig(SecurityMode mode)
     cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
     cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
     cfg.hierarchy.llc = {"llc", 16384, 8, 32};
-    applyOptKnobs(cfg, gOptKnobs);
+    cfg.secure.bmtPipeline = gBmtPipeline;
     return cfg;
 }
 
@@ -556,12 +556,12 @@ printRepro(SecurityMode mode, const std::vector<Op> &ops,
     std::string budget;
     if (gEadrBudget)
         budget = " --eadr-budget " + std::to_string(*gEadrBudget);
-    // Always name the lever set: a repro line recorded before a
-    // default flip must rebuild the same machine after it.
+    // Always name the engine: a repro line recorded before a default
+    // flip must rebuild the same machine after it.
     std::printf("REPRO: dolos_torture --mode %s%s%s --opt-knobs %s "
                 "--replay %s\n",
                 modeCliName(mode), bug.c_str(), budget.c_str(),
-                formatOptKnobs(gOptKnobs).c_str(),
+                bmtPipelineSpec(gBmtPipeline),
                 formatOps(ops).c_str());
 }
 
@@ -680,13 +680,13 @@ main(int argc, char **argv)
             summaryJson = value();
         } else if (a == "--opt-knobs") {
             const std::string spec = value();
-            const auto knobs = parseOptKnobs(spec);
-            if (!knobs) {
-                std::fprintf(stderr, "bad --opt-knobs spec '%s'\n",
-                             spec.c_str());
+            const auto piped = parseBmtPipelineSpec(spec);
+            if (!piped) {
+                std::fprintf(stderr, "--opt-knobs takes all|none, not "
+                             "'%s'\n", spec.c_str());
                 usage(ExitUsage);
             }
-            gOptKnobs = *knobs;
+            gBmtPipeline = *piped;
         } else if (a == "--help" || a == "-h") {
             usage(ExitOk);
         } else {
@@ -776,7 +776,7 @@ main(int argc, char **argv)
                             : "",
                         metaFaults ? " --meta-faults" : "",
                         budget_arg.c_str(),
-                        formatOptKnobs(gOptKnobs).c_str(), jobs);
+                        bmtPipelineSpec(gBmtPipeline), jobs);
             return ExitViolation;
         }
         return ExitOk;
@@ -871,7 +871,7 @@ main(int argc, char **argv)
                 "base seed %llu, opt-knobs %s, jobs %u\n",
                 campaign, opsPerEpisode, securityModeName(mode),
                 (unsigned long long)seed,
-                formatOptKnobs(gOptKnobs).c_str(), jobs);
+                bmtPipelineSpec(gBmtPipeline), jobs);
     CampaignMonitor monitor("torture", campaign, heartbeat);
     if (jobs <= 1) {
         for (unsigned ep = 0; ep < campaign; ++ep) {
