@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "tools/cli.hh"
 #include "workloads/runner.hh"
 
 namespace dolos::bench
@@ -42,68 +43,43 @@ struct BenchOptions
     bool bmtPipeline = true; ///< --opt-knobs all|none: pipelined or
                              ///< the paper's serial Ma-SU engine
 
+    [[noreturn]] static void
+    usage(int code)
+    {
+        std::printf("options: --txns N | --full | --keys N | --seed N"
+                    " | --no-verify | --json [FILE]"
+                    " | --opt-knobs all|none (none = paper's serial"
+                    " Ma-SU)\n");
+        std::exit(code);
+    }
+
     static BenchOptions
     parse(int argc, char **argv)
     {
         BenchOptions o;
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            auto next = [&]() -> std::uint64_t {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 a.c_str());
-                    std::exit(1);
-                }
-                const char *text = argv[++i];
-                char *end = nullptr;
-                const std::uint64_t v = std::strtoull(text, &end, 0);
-                if (end == text || *end != '\0') {
-                    std::fprintf(stderr,
-                                 "bad numeric value '%s' for %s\n",
-                                 text, a.c_str());
-                    std::exit(1);
-                }
-                return v;
-            };
-            if (a == "--txns") {
-                o.txns = next();
-            } else if (a == "--full") {
+        cli::Args args(argc, argv, usage);
+        while (args.next()) {
+            if (args.is("--txns")) {
+                o.txns = args.number();
+            } else if (args.is("--full")) {
                 o.txns = 50000;
-            } else if (a == "--keys") {
-                o.numKeys = next();
-            } else if (a == "--seed") {
-                o.seed = next();
-            } else if (a == "--no-verify") {
+            } else if (args.is("--keys")) {
+                o.numKeys = args.number();
+            } else if (args.is("--seed")) {
+                o.seed = args.number();
+            } else if (args.is("--no-verify")) {
                 o.verify = false;
-            } else if (a == "--json") {
+            } else if (args.is("--json")) {
                 o.json = true;
                 // Optional value: a path that names the artifact.
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    o.jsonFile = argv[++i];
-            } else if (a == "--opt-knobs") {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 a.c_str());
-                    std::exit(1);
-                }
-                const auto piped = parseBmtPipelineSpec(argv[++i]);
-                if (!piped) {
-                    std::fprintf(stderr,
-                                 "--opt-knobs takes all|none, not '%s'\n",
-                                 argv[i]);
-                    std::exit(1);
-                }
-                o.bmtPipeline = *piped;
-            } else if (a == "--help" || a == "-h") {
-                std::printf(
-                    "options: --txns N | --full | --keys N | --seed N"
-                    " | --no-verify | --json [FILE]"
-                    " | --opt-knobs all|none (none = paper's serial"
-                    " Ma-SU)\n");
-                std::exit(0);
+                if (const char *file = args.optionalValue())
+                    o.jsonFile = file;
+            } else if (args.is("--opt-knobs")) {
+                o.bmtPipeline = args.bmtPipeline();
+            } else if (args.is("--help") || args.is("-h")) {
+                usage(ExitOk);
             } else {
-                std::fprintf(stderr, "unknown option %s\n", a.c_str());
-                std::exit(1);
+                args.unknown();
             }
         }
         return o;

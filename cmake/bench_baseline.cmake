@@ -22,11 +22,8 @@
 # THRESHOLD defaults to the deterministic-simulation gate (2%); the
 # selfbench gate measures host wall-clock and needs a far looser one.
 
-foreach(var BENCH REPORT BASELINE WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "bench_baseline: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(BENCH REPORT BASELINE WORKDIR)
 
 # Driver parameters default to the original intro_overhead recording;
 # each gate overrides what its baseline was recorded with.
@@ -52,28 +49,11 @@ get_filename_component(artifact "${BASELINE}" NAME)
 set(candidate "${WORKDIR}/${artifact}")
 
 # Must match the parameters recorded in the baseline artifact.
-execute_process(
-    COMMAND "${BENCH}" --txns ${TXNS} --keys ${KEYS} --seed ${SEED}
-            --json "${candidate}"
-    RESULT_VARIABLE bench_rc
-    OUTPUT_VARIABLE bench_out
-    ERROR_VARIABLE bench_err)
-if(NOT bench_rc EQUAL 0)
-    message(FATAL_ERROR
-        "bench_baseline: driver failed (rc=${bench_rc})\n"
-        "${bench_out}\n${bench_err}")
-endif()
+run_step(driver
+    "${BENCH}" --txns ${TXNS} --keys ${KEYS} --seed ${SEED}
+    --json "${candidate}")
 
-execute_process(
-    COMMAND "${REPORT}" --check "${candidate}"
-    RESULT_VARIABLE check_rc
-    OUTPUT_VARIABLE check_out
-    ERROR_VARIABLE check_err)
-if(NOT check_rc EQUAL 0)
-    message(FATAL_ERROR
-        "bench_baseline: invalid artifact (rc=${check_rc})\n"
-        "${check_out}\n${check_err}")
-endif()
+run_step("artifact check" "${REPORT}" --check "${candidate}")
 
 execute_process(
     COMMAND "${REPORT}" "${BASELINE}" "${candidate}"

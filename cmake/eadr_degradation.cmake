@@ -22,28 +22,11 @@
 #         -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P eadr_degradation.cmake
 
-foreach(var SIM TORTURE REPORT WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "eadr_degradation: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SIM TORTURE REPORT WORKDIR)
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 
-function(expect_rc expected)
-    execute_process(
-        COMMAND ${ARGN}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL ${expected})
-        message(FATAL_ERROR
-            "eadr_degradation: expected rc=${expected}, got rc=${rc} "
-            "for: ${ARGN}\n${out}\n${err}")
-    endif()
-    set(last_out "${out}" PARENT_SCOPE)
-    set(last_err "${err}" PARENT_SCOPE)
-endfunction()
 
 # A fully provisioned budget: clean exit, nothing quarantined. No
 # clwb/fence ops needed — under eADR the store itself is persistent.

@@ -17,26 +17,11 @@
 #         -DFUZZ=<dolos_fuzz> -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P exit_codes_smoke.cmake
 
-foreach(var SIM TORTURE FUZZ REPORT WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "exit_codes_smoke: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SIM TORTURE FUZZ REPORT WORKDIR)
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 
-function(expect_rc expected)
-    execute_process(
-        COMMAND ${ARGN}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL ${expected})
-        message(FATAL_ERROR
-            "exit_codes_smoke: expected rc=${expected}, got rc=${rc} "
-            "for: ${ARGN}\n${out}\n${err}")
-    endif()
-endfunction()
 
 # 0: clean verified run.
 expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
@@ -63,9 +48,32 @@ foreach(spec all none)
     expect_rc(0 "${TORTURE}" --replay w:1:7,f:1,s,c --opt-knobs ${spec})
 endforeach()
 
+# 2: every CLI rejects a malformed value instead of clamping or
+#    defaulting it: misspelled choices, numbers with trailing junk.
+foreach(bad "--tree;lazzy;--crash-scheme;osirs" "--tree;lazzy"
+        "--crash-scheme;osirs" "--txns;10x")
+    expect_rc(2 "${SIM}" ${bad} --txns 10)
+endforeach()
+foreach(bad "--seed;abc" "--jobs;2x" "--jobs;0")
+    expect_rc(2 "${TORTURE}" ${bad} --campaign 2)
+endforeach()
+foreach(bad "--seed;7q" "--jobs;0" "--workload;not-a-workload")
+    expect_rc(2 "${FUZZ}" ${bad})
+endforeach()
+
 # 3: injected integrity attack raises the alarm.
 expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
             --txns 40 --keys 64 --inject-fault data-flip)
+
+# The inject-and-provoke sequence dolos-sim shares with dolos_fuzz:
+# a write-fail victim is rewritten until it quarantines (4); MAC and
+# tree-node flips are caught by the provoking load (3).
+expect_rc(4 "${SIM}" --workload hashmap --mode dolos-partial
+            --txns 40 --keys 64 --inject-fault media-write-fail)
+foreach(fault mac-flip bmt-flip)
+    expect_rc(3 "${SIM}" --workload hashmap --mode dolos-partial
+                --txns 40 --keys 64 --inject-fault ${fault})
+endforeach()
 
 # 4: unhealable media fault degrades gracefully (quarantine, no
 #    abort) and emits a structured damage report.

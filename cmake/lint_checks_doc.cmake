@@ -7,18 +7,13 @@
 
 cmake_policy(SET CMP0057 NEW) # IN_LIST (script mode sets no policies)
 
-if(NOT LINT OR NOT SOURCE_DIR)
-    message(FATAL_ERROR "need -DLINT=... -DSOURCE_DIR=...")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(LINT SOURCE_DIR)
 
-execute_process(COMMAND ${LINT} --list-checks
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--list-checks failed (${rc})\n${out}${err}")
-endif()
+run_step(--list-checks ${LINT} --list-checks)
 
 set(bin_checks "")
-string(REPLACE "\n" ";" lines "${out}")
+string(REPLACE "\n" ";" lines "${last_out}")
 foreach(line IN LISTS lines)
     if(line MATCHES "^([a-z][a-z-]*) ")
         list(APPEND bin_checks ${CMAKE_MATCH_1})

@@ -4,29 +4,24 @@
 #
 # Inputs: -DLINT=<dolos_lint binary> -DSOURCE_DIR=<repo root>
 
-if(NOT LINT OR NOT SOURCE_DIR)
-    message(FATAL_ERROR "need -DLINT=... -DSOURCE_DIR=...")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(LINT SOURCE_DIR)
 set(FIXTURES ${SOURCE_DIR}/tests/lint_fixtures)
 
 # expect_flag(<fixture> <violations> <expected substring>)
 function(expect_flag file count expected)
-    execute_process(COMMAND ${LINT} ${FIXTURES}/${file}
-        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-    if(NOT rc EQUAL 1)
-        message(FATAL_ERROR
-            "${file}: expected exit 1, got ${rc}\n${out}${err}")
-    endif()
-    string(FIND "${out}" "${expected}" pos)
+    expect_rc(1 ${LINT} ${FIXTURES}/${file})
+    string(FIND "${last_out}" "${expected}" pos)
     if(pos EQUAL -1)
         message(FATAL_ERROR
             "${file}: missing expected diagnostic\n"
-            "  wanted: ${expected}\n  got:\n${out}")
+            "  wanted: ${expected}\n  got:\n${last_out}")
     endif()
-    string(FIND "${out}" "${count} violation(s)" pos)
+    string(FIND "${last_out}" "${count} violation(s)" pos)
     if(pos EQUAL -1)
         message(FATAL_ERROR
-            "${file}: expected exactly ${count} violation(s)\n${out}")
+            "${file}: expected exactly ${count} violation(s)\n"
+            "${last_out}")
     endif()
     message(STATUS "${file}: flagged as planted")
 endfunction()
@@ -81,10 +76,5 @@ expect_flag(determinism_unordered.cc 1
     "range-for over unordered container 'dirty'")
 
 # The real tree must be clean.
-execute_process(COMMAND ${LINT} ${SOURCE_DIR}/src ${SOURCE_DIR}/tools
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "real tree should lint clean, got exit ${rc}\n${out}${err}")
-endif()
-message(STATUS "real tree: clean\n${out}")
+run_step("lint of the real tree" ${LINT} ${SOURCE_DIR}/src ${SOURCE_DIR}/tools)
+message(STATUS "real tree: clean\n${last_out}")

@@ -11,26 +11,12 @@
 #   cmake -DSOURCE_DIR=<repo root> -DWORKDIR=<dir>
 #         -P release_lane.cmake
 
-foreach(var SOURCE_DIR WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "release_lane: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SOURCE_DIR WORKDIR)
 
 set(build "${WORKDIR}/release-build")
 file(MAKE_DIRECTORY "${build}")
 
-function(run_step what)
-    execute_process(
-        COMMAND ${ARGN}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-            "release_lane: ${what} failed (rc=${rc})\n${out}\n${err}")
-    endif()
-endfunction()
 
 run_step(configure
     "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${build}"

@@ -11,77 +11,31 @@
 #   cmake -DSOURCE_DIR=<repo root> -DWORKDIR=<dir>
 #         -P sanitize_lane.cmake
 
-foreach(var SOURCE_DIR WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "sanitize_lane: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SOURCE_DIR WORKDIR)
 
 set(build "${WORKDIR}/asan-build")
 file(MAKE_DIRECTORY "${build}")
 
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${build}"
-            -DDOLOS_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-            -DDOLOS_WERROR=ON
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "sanitize_lane: configure failed (rc=${rc})\n${out}\n${err}")
-endif()
+run_step(configure
+    "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${build}"
+    -DDOLOS_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DDOLOS_WERROR=ON)
 
 # Static checks gate the lane: build and run dolos_lint over the real
 # tree before spending time on the sanitizer build proper.
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" --build "${build}" -j
-            --target dolos_lint
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "sanitize_lane: lint build failed (rc=${rc})\n${out}\n${err}")
-endif()
-execute_process(
-    COMMAND "${build}/tools/dolos_lint" "${SOURCE_DIR}/src"
-            "${SOURCE_DIR}/tools"
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "sanitize_lane: dolos_lint found violations "
-        "(rc=${rc})\n${out}\n${err}")
-endif()
+run_step("lint build"
+    "${CMAKE_COMMAND}" --build "${build}" -j --target dolos_lint)
+run_step(dolos_lint
+    "${build}/tools/dolos_lint" "${SOURCE_DIR}/src" "${SOURCE_DIR}/tools")
 
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" --build "${build}" -j
-            --target dolos_torture_cli dolos_sim_cli
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "sanitize_lane: build failed (rc=${rc})\n${out}\n${err}")
-endif()
+run_step(build
+    "${CMAKE_COMMAND}" --build "${build}" -j
+    --target dolos_torture_cli dolos_sim_cli)
 
 set(torture "${build}/tools/dolos_torture")
 set(sim "${build}/tools/dolos-sim")
 
-function(expect_rc expected)
-    execute_process(
-        COMMAND ${ARGN}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL ${expected})
-        message(FATAL_ERROR
-            "sanitize_lane: expected rc=${expected}, got rc=${rc} "
-            "for: ${ARGN}\n${out}\n${err}")
-    endif()
-endfunction()
 
 # Crash sweep with a mid-recovery crash armed at every point.
 expect_rc(0 "${torture}" --sweep --recovery-crash 2 --budget 2

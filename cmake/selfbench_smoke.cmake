@@ -9,42 +9,30 @@
 # Invoked as:
 #   cmake -DSIM=<dolos-sim> -DWORKDIR=<dir> -P selfbench_smoke.cmake
 
-foreach(var SIM WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "selfbench_smoke: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SIM WORKDIR)
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 
-execute_process(
-    COMMAND "${SIM}" --selfbench --workload hashmap --txns 50
-            --keys 64
-    RESULT_VARIABLE sim_rc
-    OUTPUT_VARIABLE sim_out
-    ERROR_VARIABLE sim_err)
-if(NOT sim_rc EQUAL 0)
-    message(FATAL_ERROR
-        "selfbench_smoke: --selfbench failed (rc=${sim_rc})\n"
-        "${sim_out}\n${sim_err}")
-endif()
+run_step("--selfbench run"
+    "${SIM}" --selfbench --workload hashmap --txns 50 --keys 64)
 
-string(FIND "${sim_out}" "simulated instructions/sec" has_rate)
+string(FIND "${last_out}" "simulated instructions/sec" has_rate)
 if(has_rate EQUAL -1)
     message(FATAL_ERROR
         "selfbench_smoke: no throughput figure in output:\n"
-        "${sim_out}")
+        "${last_out}")
 endif()
 
 # Either the attribution table (profiler compiled in) or the explicit
 # compiled-out notice must be present — silence means the report path
 # is broken.
-string(FIND "${sim_out}" "host-time attribution" has_attr)
-string(FIND "${sim_out}" "self-profiler compiled out" has_notice)
+string(FIND "${last_out}" "host-time attribution" has_attr)
+string(FIND "${last_out}" "self-profiler compiled out" has_notice)
 if(has_attr EQUAL -1 AND has_notice EQUAL -1)
     message(FATAL_ERROR
         "selfbench_smoke: neither attribution table nor compiled-out "
-        "notice in output:\n${sim_out}")
+        "notice in output:\n${last_out}")
 endif()
 
 message(STATUS "selfbench_smoke: OK")

@@ -11,11 +11,8 @@
 #   cmake -DSOURCE_DIR=<repo root> -DBUILD_DIR=<configured build>
 #         -P tidy_lane.cmake
 
-foreach(var SOURCE_DIR BUILD_DIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "tidy_lane: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SOURCE_DIR BUILD_DIR)
 
 find_program(CLANG_TIDY NAMES clang-tidy clang-tidy-18 clang-tidy-17
                                clang-tidy-16 clang-tidy-15)
@@ -35,14 +32,5 @@ endif()
 file(GLOB_RECURSE sources
     "${SOURCE_DIR}/src/*.cc")
 
-execute_process(
-    COMMAND "${CLANG_TIDY}" -p "${BUILD_DIR}" --quiet ${sources}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "tidy_lane: clang-tidy reported issues (rc=${rc})\n"
-        "${out}\n${err}")
-endif()
+run_step(clang-tidy "${CLANG_TIDY}" -p "${BUILD_DIR}" --quiet ${sources})
 message(STATUS "tidy_lane: OK")

@@ -11,28 +11,17 @@
 #   cmake -DSIM=<dolos-sim> -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P timeline_smoke.cmake
 
-foreach(var SIM REPORT WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "timeline_smoke: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SIM REPORT WORKDIR)
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(json_file "${WORKDIR}/timeline.json")
 set(csv_file "${WORKDIR}/timeline.csv")
 
 foreach(artifact "${json_file}" "${csv_file}")
-    execute_process(
-        COMMAND "${SIM}" --workload hashmap --txns 50 --keys 64
-                --sample-interval 50000 --stats-timeline "${artifact}"
-        RESULT_VARIABLE sim_rc
-        OUTPUT_VARIABLE sim_out
-        ERROR_VARIABLE sim_err)
-    if(NOT sim_rc EQUAL 0)
-        message(FATAL_ERROR
-            "timeline_smoke: simulation failed (rc=${sim_rc})\n"
-            "${sim_out}\n${sim_err}")
-    endif()
+    run_step(simulation
+        "${SIM}" --workload hashmap --txns 50 --keys 64
+        --sample-interval 50000 --stats-timeline "${artifact}")
     if(NOT EXISTS "${artifact}")
         message(FATAL_ERROR
             "timeline_smoke: ${artifact} was not written")
@@ -48,44 +37,18 @@ if(csv_rows LESS 2)
         "header plus window rows")
 endif()
 
-execute_process(
-    COMMAND "${REPORT}" --check "${json_file}"
-    RESULT_VARIABLE check_rc
-    OUTPUT_VARIABLE check_out
-    ERROR_VARIABLE check_err)
-if(NOT check_rc EQUAL 0)
-    message(FATAL_ERROR
-        "timeline_smoke: invalid JSON artifact (rc=${check_rc})\n"
-        "${check_out}\n${check_err}")
-endif()
+run_step("JSON check" "${REPORT}" --check "${json_file}")
 
-execute_process(
-    COMMAND "${REPORT}" --timeline "${json_file}"
-    RESULT_VARIABLE spark_rc
-    OUTPUT_VARIABLE spark_out
-    ERROR_VARIABLE spark_err)
-if(NOT spark_rc EQUAL 0)
-    message(FATAL_ERROR
-        "timeline_smoke: --timeline rendering failed "
-        "(rc=${spark_rc})\n${spark_out}\n${spark_err}")
-endif()
-string(FIND "${spark_out}" "drainsPerKcycle" has_derived)
+run_step("--timeline rendering" "${REPORT}" --timeline "${json_file}")
+string(FIND "${last_out}" "drainsPerKcycle" has_derived)
 if(has_derived EQUAL -1)
     message(FATAL_ERROR
         "timeline_smoke: --timeline output lacks the derived "
-        "drainsPerKcycle series:\n${spark_out}")
+        "drainsPerKcycle series:\n${last_out}")
 endif()
 
 # Self-compare: shared series, all deltas zero.
-execute_process(
-    COMMAND "${REPORT}" --timeline "${json_file}" "${json_file}"
-    RESULT_VARIABLE cmp_rc
-    OUTPUT_VARIABLE cmp_out
-    ERROR_VARIABLE cmp_err)
-if(NOT cmp_rc EQUAL 0)
-    message(FATAL_ERROR
-        "timeline_smoke: two-file --timeline failed (rc=${cmp_rc})\n"
-        "${cmp_out}\n${cmp_err}")
-endif()
+run_step("two-file --timeline"
+    "${REPORT}" --timeline "${json_file}" "${json_file}")
 
 message(STATUS "timeline_smoke: OK")

@@ -8,52 +8,22 @@
 #   cmake -DSIM=<dolos-sim> -DREPORT=<dolos_report> -DWORKDIR=<dir>
 #         -P trace_smoke.cmake
 
-foreach(var SIM REPORT WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "trace_smoke: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SIM REPORT WORKDIR)
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace_file "${WORKDIR}/trace.json")
 set(stats_file "${WORKDIR}/stats.json")
 
-execute_process(
-    COMMAND "${SIM}" --workload hashmap --mode full_wpq
-            --txns 50 --keys 64
-            --trace "${trace_file}" --stats-json "${stats_file}"
-    RESULT_VARIABLE sim_rc
-    OUTPUT_VARIABLE sim_out
-    ERROR_VARIABLE sim_err)
-if(NOT sim_rc EQUAL 0)
-    message(FATAL_ERROR
-        "trace_smoke: simulation failed (rc=${sim_rc})\n"
-        "${sim_out}\n${sim_err}")
-endif()
+run_step(simulation
+    "${SIM}" --workload hashmap --mode full_wpq --txns 50 --keys 64
+    --trace "${trace_file}" --stats-json "${stats_file}")
 
 foreach(artifact "${trace_file}" "${stats_file}")
-    execute_process(
-        COMMAND "${REPORT}" --check "${artifact}"
-        RESULT_VARIABLE check_rc
-        OUTPUT_VARIABLE check_out
-        ERROR_VARIABLE check_err)
-    if(NOT check_rc EQUAL 0)
-        message(FATAL_ERROR
-            "trace_smoke: invalid JSON artifact ${artifact} "
-            "(rc=${check_rc})\n${check_out}\n${check_err}")
-    endif()
+    run_step("JSON check of ${artifact}" "${REPORT}" --check "${artifact}")
 endforeach()
 
 # A self-diff must be regression-free: exercises the compare path.
-execute_process(
-    COMMAND "${REPORT}" "${stats_file}" "${stats_file}"
-    RESULT_VARIABLE diff_rc
-    OUTPUT_VARIABLE diff_out
-    ERROR_VARIABLE diff_err)
-if(NOT diff_rc EQUAL 0)
-    message(FATAL_ERROR
-        "trace_smoke: self-diff reported regressions (rc=${diff_rc})\n"
-        "${diff_out}\n${diff_err}")
-endif()
+run_step(self-diff "${REPORT}" "${stats_file}" "${stats_file}")
 
 message(STATUS "trace_smoke: OK")

@@ -14,11 +14,8 @@
 # Invoked as:
 #   cmake -DSOURCE_DIR=<repo root> -DWORKDIR=<dir> -P tsan_lane.cmake
 
-foreach(var SOURCE_DIR WORKDIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "tsan_lane: ${var} not set")
-    endif()
-endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/lane_common.cmake)
+lane_require(SOURCE_DIR WORKDIR)
 
 # Probe: can the host compiler build and link a threaded TSan binary?
 set(probe_dir "${WORKDIR}/tsan-probe")
@@ -54,45 +51,20 @@ endif()
 set(build "${WORKDIR}/tsan-build")
 file(MAKE_DIRECTORY "${build}")
 
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${build}"
-            -DDOLOS_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-            -DDOLOS_WERROR=ON
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "tsan_lane: configure failed (rc=${rc})\n${out}\n${err}")
-endif()
+run_step(configure
+    "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${build}"
+    -DDOLOS_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDOLOS_WERROR=ON)
 
-execute_process(
-    COMMAND "${CMAKE_COMMAND}" --build "${build}" -j
-            --target dolos_torture_cli dolos_fuzz_cli
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-        "tsan_lane: build failed (rc=${rc})\n${out}\n${err}")
-endif()
+run_step(build
+    "${CMAKE_COMMAND}" --build "${build}" -j
+    --target dolos_torture_cli dolos_fuzz_cli)
 
 set(torture "${build}/tools/dolos_torture")
 set(fuzz "${build}/tools/dolos_fuzz")
 
-function(expect_rc expected)
-    execute_process(
-        COMMAND "${CMAKE_COMMAND}" -E env TSAN_OPTIONS=halt_on_error=1
-                ${ARGN}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL ${expected})
-        message(FATAL_ERROR
-            "tsan_lane: expected rc=${expected}, got rc=${rc} "
-            "for: ${ARGN}\n${out}\n${err}")
-    endif()
-endfunction()
+# Every run below inherits this: the first race aborts the binary.
+set(ENV{TSAN_OPTIONS} halt_on_error=1)
+
 
 # Parallel microstep sweep slices: 4 workers each running
 # self-contained Systems with thread-local crash-point registries —

@@ -77,11 +77,42 @@ bool isDolosMode(SecurityMode mode);
  */
 bool securityAfterWpq(SecurityMode mode);
 
+/** One CLI spelling of a mode. */
+struct SecurityModeCliName
+{
+    const char *name;
+    SecurityMode mode;
+};
+
 /**
- * Parse a CLI mode name (ideal|baseline|post-unprotected|dolos-full|
- * dolos-partial|dolos-post|eadr, plus the full_wpq/partial_wpq/
- * post_wpq aliases). Unknown strings yield nullopt — callers must
- * reject them, never clamp to a default.
+ * The one CLI name table: the canonical name of every mode in enum
+ * order, then the full_wpq/partial_wpq/post_wpq parse-only aliases.
+ * parseSecurityMode reads every entry; securityModeCliName prints the
+ * canonical one, so a repro line always parses back to its mode.
+ */
+inline constexpr SecurityModeCliName securityModeCliNames[] = {
+    {"ideal", SecurityMode::NonSecureIdeal},
+    {"baseline", SecurityMode::PreWpqSecure},
+    {"post-unprotected", SecurityMode::PostWpqUnprotected},
+    {"dolos-full", SecurityMode::DolosFullWpq},
+    {"dolos-partial", SecurityMode::DolosPartialWpq},
+    {"dolos-post", SecurityMode::DolosPostWpq},
+    {"eadr", SecurityMode::EadrSecure},
+    {"full_wpq", SecurityMode::DolosFullWpq},
+    {"partial_wpq", SecurityMode::DolosPartialWpq},
+    {"post_wpq", SecurityMode::DolosPostWpq},
+};
+
+/** Canonical CLI name of @p mode (e.g. "dolos-partial"). */
+inline const char *
+securityModeCliName(SecurityMode mode)
+{
+    return securityModeCliNames[unsigned(mode)].name;
+}
+
+/**
+ * Parse a CLI mode name from securityModeCliNames. Unknown strings
+ * yield nullopt — callers must reject them, never clamp to a default.
  */
 std::optional<SecurityMode> parseSecurityMode(const std::string &name);
 

@@ -60,20 +60,9 @@ securityAfterWpq(SecurityMode mode)
 std::optional<SecurityMode>
 parseSecurityMode(const std::string &name)
 {
-    if (name == "ideal")
-        return SecurityMode::NonSecureIdeal;
-    if (name == "baseline")
-        return SecurityMode::PreWpqSecure;
-    if (name == "post-unprotected")
-        return SecurityMode::PostWpqUnprotected;
-    if (name == "dolos-full" || name == "full_wpq")
-        return SecurityMode::DolosFullWpq;
-    if (name == "dolos-partial" || name == "partial_wpq")
-        return SecurityMode::DolosPartialWpq;
-    if (name == "dolos-post" || name == "post_wpq")
-        return SecurityMode::DolosPostWpq;
-    if (name == "eadr")
-        return SecurityMode::EadrSecure;
+    for (const auto &entry : securityModeCliNames)
+        if (name == entry.name)
+            return entry.mode;
     return std::nullopt;
 }
 

@@ -10,6 +10,8 @@
 
 #include "secure/address_map.hh"
 #include "secure/merkle_tree.hh"
+#include "sim/logging.hh"
+#include "verify/golden_model.hh"
 
 namespace dolos::verify
 {
@@ -135,81 +137,34 @@ FaultInjector::armRecoveryCrash(unsigned after_steps)
     return rec;
 }
 
-InjectionRecord
-FaultInjector::injectMediaTransient()
-{
-    InjectionRecord rec;
-    rec.kind = FaultKind::MediaTransient;
-    const auto victim = pickVictimDataBlock();
-    if (!victim) {
-        rec.detail = "no protected data block stored yet";
-        return rec;
-    }
-    rec.victim = rec.target = *victim;
-    rec.bit = unsigned(rng.below(blockSize * 8));
-    sys.nvmDevice().injectTransientFlip(*victim, rec.bit);
-    rec.injected = true;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "armed transient flip of bit %u on next read of "
-                  "0x%llx",
-                  rec.bit, (unsigned long long)*victim);
-    rec.detail = buf;
-    return rec;
-}
-
-InjectionRecord
-FaultInjector::injectMediaStuck()
-{
-    InjectionRecord rec;
-    rec.kind = FaultKind::MediaStuck;
-    const auto victim = pickVictimDataBlock();
-    if (!victim) {
-        rec.detail = "no protected data block stored yet";
-        return rec;
-    }
-    // Stick the cell at the complement of its stored value so the
-    // fault is visible on the very next read.
-    rec.victim = rec.target = *victim;
-    rec.bit = unsigned(rng.below(blockSize * 8));
-    const Block stored = sys.nvmDevice().readFunctional(*victim);
-    const bool current =
-        stored[rec.bit / 8] & std::uint8_t(1u << (rec.bit % 8));
-    sys.nvmDevice().injectStuckBit(*victim, rec.bit, !current);
-    rec.injected = true;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "stuck bit %u of 0x%llx at %d", rec.bit,
-                  (unsigned long long)*victim, int(!current));
-    rec.detail = buf;
-    return rec;
-}
-
-namespace
-{
-/** The metadata frame of @p region that covers data block @p victim. */
 Addr
-metadataTargetFor(NvmRegion region, Addr victim)
+metadataFrameOf(NvmRegion region, Addr block)
 {
     switch (region) {
       case NvmRegion::Counter:
-        return AddressMap::counterBlockAddr(victim);
+        return AddressMap::counterBlockAddr(block);
       case NvmRegion::Tree:
         return AddressMap::treeNodeAddr(
-            1, AddressMap::pageOf(victim) / MerkleTree::arity);
+            1, AddressMap::pageOf(block) / MerkleTree::arity);
       case NvmRegion::Mac:
-        return AddressMap::macBlockAddr(victim);
+        return AddressMap::macBlockAddr(block);
       default:
-        return victim;
+        return block;
     }
 }
-} // namespace
+
+bool
+stickAtComplement(NvmDevice &nvm, Addr addr, unsigned bit)
+{
+    const Block stored = nvm.readFunctional(addr);
+    const bool value = !(stored[bit / 8] & std::uint8_t(1u << (bit % 8)));
+    nvm.injectStuckBit(addr, bit, value);
+    return value;
+}
 
 InjectionRecord
 FaultInjector::injectMediaTransient(NvmRegion region)
 {
-    if (region == NvmRegion::Data)
-        return injectMediaTransient();
     InjectionRecord rec;
     rec.kind = FaultKind::MediaTransient;
     rec.region = region;
@@ -219,17 +174,23 @@ FaultInjector::injectMediaTransient(NvmRegion region)
         return rec;
     }
     rec.victim = *victim;
-    rec.target = metadataTargetFor(region, *victim);
+    rec.target = metadataFrameOf(region, *victim);
     rec.bit = unsigned(rng.below(blockSize * 8));
     sys.nvmDevice().injectTransientFlip(rec.target, rec.bit);
     rec.injected = true;
     char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "armed transient flip of bit %u on next read of %s "
-                  "block 0x%llx (covers 0x%llx)",
-                  rec.bit, nvmRegionName(region),
-                  (unsigned long long)rec.target,
-                  (unsigned long long)*victim);
+    if (region == NvmRegion::Data)
+        std::snprintf(buf, sizeof(buf),
+                      "armed transient flip of bit %u on next read of "
+                      "0x%llx",
+                      rec.bit, (unsigned long long)*victim);
+    else
+        std::snprintf(buf, sizeof(buf),
+                      "armed transient flip of bit %u on next read of "
+                      "%s block 0x%llx (covers 0x%llx)",
+                      rec.bit, nvmRegionName(region),
+                      (unsigned long long)rec.target,
+                      (unsigned long long)*victim);
     rec.detail = buf;
     return rec;
 }
@@ -237,8 +198,6 @@ FaultInjector::injectMediaTransient(NvmRegion region)
 InjectionRecord
 FaultInjector::injectMediaStuck(NvmRegion region)
 {
-    if (region == NvmRegion::Data)
-        return injectMediaStuck();
     InjectionRecord rec;
     rec.kind = FaultKind::MediaStuck;
     rec.region = region;
@@ -248,20 +207,21 @@ FaultInjector::injectMediaStuck(NvmRegion region)
         return rec;
     }
     rec.victim = *victim;
-    rec.target = metadataTargetFor(region, *victim);
+    rec.target = metadataFrameOf(region, *victim);
     rec.bit = unsigned(rng.below(blockSize * 8));
-    const Block stored = sys.nvmDevice().readFunctional(rec.target);
-    const bool current =
-        stored[rec.bit / 8] & std::uint8_t(1u << (rec.bit % 8));
-    sys.nvmDevice().injectStuckBit(rec.target, rec.bit, !current);
+    const bool value = stickAtComplement(sys.nvmDevice(), rec.target, rec.bit);
     rec.injected = true;
     char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "stuck bit %u of %s block 0x%llx at %d (covers "
-                  "0x%llx)",
-                  rec.bit, nvmRegionName(region),
-                  (unsigned long long)rec.target, int(!current),
-                  (unsigned long long)*victim);
+    if (region == NvmRegion::Data)
+        std::snprintf(buf, sizeof(buf), "stuck bit %u of 0x%llx at %d",
+                      rec.bit, (unsigned long long)*victim, int(value));
+    else
+        std::snprintf(buf, sizeof(buf),
+                      "stuck bit %u of %s block 0x%llx at %d (covers "
+                      "0x%llx)",
+                      rec.bit, nvmRegionName(region),
+                      (unsigned long long)rec.target, int(value),
+                      (unsigned long long)*victim);
     rec.detail = buf;
     return rec;
 }
@@ -474,6 +434,76 @@ FaultInjector::inject(FaultKind kind)
     InjectionRecord rec;
     rec.kind = kind;
     rec.detail = "kind is not an NVM image mutation";
+    return rec;
+}
+
+InjectionRecord
+FaultInjector::armBeforeRun(FaultKind kind)
+{
+    const auto &cfg = sys.config();
+    if (kind == FaultKind::TornAdrDump)
+        return armTornAdrDump(
+            unsigned(seed % cfg.wpq.entriesFor(cfg.mode)));
+    if (kind == FaultKind::DroppedClwb)
+        return armDroppedClwb(seed % 64);
+    InjectionRecord rec;
+    rec.kind = kind;
+    return rec;
+}
+
+InjectionRecord
+FaultInjector::injectAndProvoke(const InjectionRecord &armed,
+                                bool run_crashed, GoldenModel *golden,
+                                NvmRegion region)
+{
+    const FaultKind kind = armed.kind;
+    switch (kind) {
+      case FaultKind::None:
+      case FaultKind::DroppedClwb:
+        return armed;
+      case FaultKind::TornAdrDump:
+        if (!run_crashed) {
+            sys.crash();
+            sys.recover();
+        }
+        return armed;
+      default:
+        break;
+    }
+
+    DOLOS_ASSERT(region == NvmRegion::Data ||
+                     kind == FaultKind::MediaTransient ||
+                     kind == FaultKind::MediaStuck,
+                 "only media transient/stuck faults take a region");
+    InjectionRecord rec;
+    if (region != NvmRegion::Data)
+        rec = kind == FaultKind::MediaStuck ? injectMediaStuck(region)
+                                            : injectMediaTransient(region);
+    sys.crash();
+    if (kind == FaultKind::CounterRollback)
+        rec = inject(kind);
+    sys.recoverToCompletion();
+    if (region == NvmRegion::Data && kind != FaultKind::CounterRollback)
+        rec = inject(kind);
+    if (!rec.injected || kind == FaultKind::CounterRollback)
+        return rec;
+
+    if (kind == FaultKind::MediaWriteFail) {
+        const Block cur = sys.nvmDevice().readFunctional(rec.victim);
+        sys.core().store(rec.victim, cur.data(), blockSize);
+        sys.core().clwb(rec.victim);
+        sys.core().sfence();
+        sys.core().compute(1'000'000);
+        sys.controller().drainTo(sys.core().now());
+        return rec;
+    }
+    const bool hide = kind == FaultKind::MediaStuck && golden;
+    if (hide)
+        sys.core().setObserver(nullptr);
+    Block buf;
+    sys.core().load(rec.victim, buf.data(), blockSize);
+    if (hide)
+        sys.core().setObserver(golden);
     return rec;
 }
 

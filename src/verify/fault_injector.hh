@@ -80,15 +80,57 @@ struct InjectionRecord
 };
 
 /**
+ * The frame of @p region covering data block @p block: its counter
+ * block, the level-1 tree node on its path, its MAC block, or the
+ * block itself for Data.
+ */
+Addr metadataFrameOf(NvmRegion region, Addr block);
+
+/**
+ * Stick bit @p bit of the stored block at @p addr at the complement
+ * of its stored value, so the very next read sees the fault. Returns
+ * the stuck value.
+ */
+bool stickAtComplement(NvmDevice &nvm, Addr addr, unsigned bit);
+
+class GoldenModel;
+
+/**
  * Seeded fault injector bound to one System.
  */
 class FaultInjector
 {
   public:
     FaultInjector(System &sys, std::uint64_t seed)
-        : sys(sys), rng(seed ^ 0xFA17'1E57ULL)
+        : sys(sys), seed(seed), rng(seed ^ 0xFA17'1E57ULL)
     {
     }
+
+    /**
+     * @{ The fault episode of dolos_fuzz and `dolos-sim
+     * --inject-fault` (table in docs/verification.md):
+     *
+     *   auto armed = inj.armBeforeRun(kind);
+     *   ... run the workload ...
+     *   auto rec = inj.injectAndProvoke(armed, res.crashed, &golden);
+     *
+     * armBeforeRun arms the crash-path kinds (TornAdrDump after
+     * seed % WPQ-entries entries, DroppedClwb at CLWB seed % 64); other
+     * kinds come back not injected. injectAndProvoke power-cycles to a
+     * cold machine, injects, and makes the demand access that trips
+     * the detector — a load of the victim (hidden from @p golden for a
+     * stuck cell, which reads back as quarantined zeros), a rewrite
+     * for MediaWriteFail, recovery itself for CounterRollback. A
+     * media fault aimed at a metadata @p region lands before the power
+     * cycle, so recovery must repair it. A TornAdrDump the run never
+     * crashed into gets one power cycle. Returns what was injected.
+     */
+    InjectionRecord armBeforeRun(FaultKind kind);
+    InjectionRecord injectAndProvoke(const InjectionRecord &armed,
+                                     bool run_crashed,
+                                     GoldenModel *golden = nullptr,
+                                     NvmRegion region = NvmRegion::Data);
+    /** @} */
 
     /** @{ Crash-path faults: armed now, fire inside the machine. */
     InjectionRecord armTornAdrDump(unsigned surviving_entries);
@@ -96,19 +138,14 @@ class FaultInjector
     InjectionRecord armRecoveryCrash(unsigned after_steps);
     /** @} */
 
-    /** @{ Media faults: armed on a seeded stored victim block; they
-     *  fire on the device's timed demand paths. */
-    InjectionRecord injectMediaTransient();
-    InjectionRecord injectMediaStuck();
+    /** @{ Media faults: armed on a seeded stored victim data block;
+     *  they fire on the device's timed demand paths. For a @p region
+     *  other than Data the fault lands on the metadata frame covering
+     *  the victim (metadataFrameOf). A stuck cell holds the complement
+     *  of its stored bit. */
+    InjectionRecord injectMediaTransient(NvmRegion region = NvmRegion::Data);
+    InjectionRecord injectMediaStuck(NvmRegion region = NvmRegion::Data);
     InjectionRecord armMediaWriteFail(unsigned failures);
-    /** @} */
-
-    /** @{ Region-aware media faults: the seeded victim data block
-     *  selects the *metadata* frame that covers it (its counter
-     *  block, a tree node on its path, or its MAC block), and the
-     *  fault lands there. Data is the plain-victim case above. */
-    InjectionRecord injectMediaTransient(NvmRegion region);
-    InjectionRecord injectMediaStuck(NvmRegion region);
     /** @} */
 
     /** @{ NVM image mutations (apply at a quiesced point). */
@@ -136,6 +173,7 @@ class FaultInjector
     InjectionRecord flipBitAt(FaultKind kind, Addr addr);
 
     System &sys;
+    std::uint64_t seed;
     Random rng;
 };
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 
+#include "verify/campaign.hh"
 #include "verify/diff_oracle.hh"
 #include "verify/sweep_driver.hh"
 #include "workloads/pmem.hh"
@@ -28,28 +29,10 @@ namespace
 SystemConfig
 equivConfig(SecurityMode mode)
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = mode;
-    cfg.secure.functionalLeaves = 2048;
-    cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
+    auto cfg = smallMachineConfig(mode, 2048);
     cfg.secure.counterCache = {"counterCache", 8 * 1024, 4};
     cfg.secure.mtCache = {"mtCache", 16 * 1024, 8};
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
     return cfg;
-}
-
-workloads::WorkloadParams
-equivParams(std::uint64_t seed)
-{
-    workloads::WorkloadParams p;
-    p.txSize = 256;
-    p.numKeys = 48;
-    p.thinkTime = 400;
-    p.readsPerTx = 1;
-    p.seed = seed;
-    return p;
 }
 
 /** Everything one leg (off or on) contributes to the comparison. */
@@ -172,7 +155,7 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
     r.mode = mode;
     r.workload = workload;
 
-    const workloads::WorkloadParams params = equivParams(seed);
+    const workloads::WorkloadParams params = smallWorkloadParams(seed);
     // The pipeline defaults on, so the "off" leg forces it off: it
     // models the paper's serial Ma-SU, not the build default.
     SystemConfig off_cfg = equivConfig(mode);

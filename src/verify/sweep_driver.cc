@@ -6,16 +6,16 @@
 #include "verify/sweep_driver.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <functional>
+#include <memory>
+#include <numeric>
 
 #include "sim/crash_points.hh"
 #include "sim/heartbeat.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "verify/campaign.hh"
 #include "verify/fault_injector.hh"
 #include "workloads/pmem.hh"
 
@@ -37,18 +37,61 @@ configFor(const SweepOptions &opt)
 constexpr std::uint64_t kFlushAnchorShift = 24;
 constexpr std::uint64_t kFlushFiringMask = (1ull << kFlushAnchorShift) - 1;
 
-/** Probe run: total environment operations of the measured run. */
+/**
+ * A probe run: a fresh machine with the workload set up, ready to
+ * replay the measured transactions. Every probe counts from the end
+ * of setup, the same origin runWorkload arms its crash plans against.
+ */
+class Probe
+{
+  public:
+    explicit Probe(const SweepOptions &opt)
+        : opt(opt), sys(configFor(opt)),
+          workload(workloads::makeWorkload(opt.workload, opt.params)),
+          env(sys)
+    {
+        workload->setup(env);
+        ops0 = env.opCount();
+    }
+
+    /**
+     * Run the measured transactions, calling @p on_op (if given) with
+     * the measured-op index after every environment operation. Returns
+     * false if on_op stopped the run by throwing CrashRequested.
+     */
+    bool
+    run(const std::function<void(std::uint64_t)> &on_op = {})
+    {
+        if (on_op)
+            env.setOpHook([&] { on_op(ops()); });
+        bool completed = true;
+        try {
+            for (std::uint64_t i = 0; i < opt.numTx; ++i)
+                workload->transaction(env, i);
+        } catch (const workloads::CrashRequested &) {
+            completed = false;
+        }
+        env.setOpHook(nullptr);
+        return completed;
+    }
+
+    /** Environment operations since the end of setup. */
+    std::uint64_t ops() const { return env.opCount() - ops0; }
+
+    const SweepOptions &opt;
+    System sys;
+    std::unique_ptr<workloads::Workload> workload;
+    workloads::PmemEnv env;
+    std::uint64_t ops0 = 0;
+};
+
+/** Total environment operations of the measured run. */
 std::uint64_t
 measuredOps(const SweepOptions &opt)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    return env.opCount() - ops0;
+    Probe probe(opt);
+    probe.run();
+    return probe.ops();
 }
 
 /**
@@ -62,29 +105,17 @@ measuredOps(const SweepOptions &opt)
 std::uint64_t
 probeFlushFirings(const SweepOptions &opt, std::uint64_t anchor_op)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    env.setOpHook([&env, ops0, anchor_op] {
-        if (env.opCount() - ops0 >= anchor_op)
+    Probe probe(opt);
+    const bool completed = probe.run([anchor_op](std::uint64_t op) {
+        if (op >= anchor_op)
             throw workloads::CrashRequested{};
     });
-    bool reached = false;
-    try {
-        for (std::uint64_t i = 0; i < opt.numTx; ++i)
-            workload->transaction(env, i);
-    } catch (const workloads::CrashRequested &) {
-        reached = true;
-    }
-    env.setOpHook(nullptr);
-    if (!reached)
+    if (completed)
         return 0;
     auto &reg = crashpoint::Registry::instance();
     reg.reset();
     reg.enableCounting();
-    sys.crash(/*mid_operation=*/false);
+    probe.sys.crash(/*mid_operation=*/false);
     const std::uint64_t firings = reg.firings();
     reg.reset();
     return firings;
@@ -146,26 +177,18 @@ describeSweep(const SweepOptions &opt)
 std::vector<std::uint64_t>
 enumerateWpqBoundaries(const SweepOptions &opt)
 {
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-
     // Record, during the measured run only, every environment
     // operation after which the controller had accepted new writes.
+    Probe probe(opt);
     std::vector<std::uint64_t> boundaries;
-    const std::uint64_t ops0 = env.opCount();
-    std::uint64_t writes_seen = sys.controller().writeRequests();
-    env.setOpHook([&] {
-        const std::uint64_t w = sys.controller().writeRequests();
+    std::uint64_t writes_seen = probe.sys.controller().writeRequests();
+    probe.run([&](std::uint64_t op) {
+        const std::uint64_t w = probe.sys.controller().writeRequests();
         if (w != writes_seen) {
             writes_seen = w;
-            boundaries.push_back(env.opCount() - ops0);
+            boundaries.push_back(op);
         }
     });
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    env.setOpHook(nullptr);
     return boundaries;
 }
 
@@ -213,41 +236,23 @@ enumerateCrashPoints(const SweepOptions &opt)
         // target, because the crash run replays the identical
         // deterministic machine. Count from the end of setup, the
         // same origin runWorkload arms against.
+        Probe probe(opt);
         auto &reg = crashpoint::Registry::instance();
-        System sys(configFor(opt));
-        const auto workload =
-            workloads::makeWorkload(opt.workload, opt.params);
-        workloads::PmemEnv env(sys);
-        workload->setup(env);
         reg.reset();
         reg.enableCounting();
-        for (std::uint64_t i = 0; i < opt.numTx; ++i)
-            workload->transaction(env, i);
+        probe.run();
         const std::uint64_t total = reg.firings();
         reg.reset();
 
-        std::vector<std::uint64_t> points;
-        points.reserve(std::size_t(total));
-        for (std::uint64_t idx = 0; idx < total; ++idx)
-            points.push_back(idx);
+        std::vector<std::uint64_t> points(total);
+        std::iota(points.begin(), points.end(), std::uint64_t(0));
         return points;
     }
 
-    // Every-op sweep: probe run counts the measured run's operations;
-    // a crash can then land after any one of them.
-    System sys(configFor(opt));
-    const auto workload = workloads::makeWorkload(opt.workload, opt.params);
-    workloads::PmemEnv env(sys);
-    workload->setup(env);
-    const std::uint64_t ops0 = env.opCount();
-    for (std::uint64_t i = 0; i < opt.numTx; ++i)
-        workload->transaction(env, i);
-    const std::uint64_t total = env.opCount() - ops0;
-
-    std::vector<std::uint64_t> points;
-    points.reserve(std::size_t(total));
-    for (std::uint64_t op = 1; op <= total; ++op)
-        points.push_back(op);
+    // Every-op sweep: a crash can land after any one of the measured
+    // run's operations.
+    std::vector<std::uint64_t> points(measuredOps(opt));
+    std::iota(points.begin(), points.end(), std::uint64_t(1));
     return points;
 }
 
@@ -359,50 +364,11 @@ sweepCrashPoints(const SweepOptions &opt)
 
     CampaignMonitor monitor("sweep", chosen.size(),
                             opt.heartbeatEvery);
-    result.points.resize(chosen.size());
-    const std::size_t jobs = std::min<std::size_t>(
-        std::max(1u, opt.jobs), chosen.size());
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < chosen.size(); ++k) {
-            result.points[k] = runCrashPoint(opt, chosen[k]);
-            monitor.caseDone(chosen[k], !result.points[k].passed());
-        }
-    } else {
-        // Deterministic merge: worker w claims chosen-point indices
-        // from a shared counter and writes each outcome into its
-        // slot, so result.points is bit-identical to the serial run
-        // regardless of scheduling. Every point is self-contained
-        // (fresh System + thread-local crash-point registry), which
-        // is what the thread-shared lint audit guarantees.
-        std::atomic<std::size_t> next{0};
-        std::mutex errMu;
-        std::exception_ptr firstError;
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const std::size_t k =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (k >= chosen.size())
-                        return;
-                    try {
-                        result.points[k] = runCrashPoint(opt, chosen[k]);
-                    } catch (...) {
-                        const std::lock_guard<std::mutex> g(errMu);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                        return;
-                    }
-                    monitor.caseDone(chosen[k],
-                                     !result.points[k].passed());
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-        if (firstError)
-            std::rethrow_exception(firstError);
-    }
+    result.points = runCases(chosen.size(), opt.jobs, [&](std::size_t k) {
+        auto point = runCrashPoint(opt, chosen[k]);
+        monitor.caseDone(chosen[k], !point.passed());
+        return point;
+    });
     if (opt.heartbeatEvery)
         monitor.finish();
     return result;

@@ -109,12 +109,9 @@ struct SweepOptions
     std::uint64_t heartbeatEvery = 0;
 
     /**
-     * Worker threads running crash points (<=1 = serial). Each point
-     * is fully self-contained (fresh System, golden model, and
-     * thread-local crash-point registry), so the sweep verdict is
-     * bit-identical to the serial run for any jobs value: results
-     * land in the slot of their chosen-point index, and only the
-     * heartbeat interleaving on stderr varies.
+     * Worker threads running crash points (verify::runCases; <=1
+     * runs them on the calling thread). The verdict is bit-identical
+     * for any jobs value.
      */
     unsigned jobs = 1;
 };

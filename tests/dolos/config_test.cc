@@ -116,6 +116,20 @@ TEST(SecurityModeConfig, ParseAcceptsEveryCliNameAndAlias)
               SecurityMode::DolosPostWpq);
 }
 
+TEST(SecurityModeConfig, CliNameRoundTripsForEveryMode)
+{
+    // One name table serves parse and print: every mode's repro-line
+    // spelling parses back to the mode, and the names are distinct.
+    std::set<std::string> names;
+    for (unsigned m = 0; m <= unsigned(SecurityMode::EadrSecure); ++m) {
+        const auto mode = SecurityMode(m);
+        EXPECT_EQ(parseSecurityMode(securityModeCliName(mode)), mode)
+            << securityModeCliName(mode);
+        names.insert(securityModeCliName(mode));
+    }
+    EXPECT_EQ(names.size(), 7u);
+}
+
 TEST(SecurityModeConfig, ParseRejectsUnknownNames)
 {
     // Rejected loudly as "no value" — never clamped to some default.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dolos/config.hh"
+#include "verify/campaign.hh"
 #include "workloads/workload.hh"
 
 namespace dolos::test
@@ -36,25 +37,11 @@ cfgFor(SecurityMode mode)
 inline SystemConfig
 smallCacheCfgFor(SecurityMode mode)
 {
-    auto cfg = cfgFor(mode);
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
-    return cfg;
+    return verify::smallMachineConfig(mode, 8192);
 }
 
 /** Workload parameters small enough for crash sweeps. */
-inline workloads::WorkloadParams
-smallParams(std::uint64_t seed)
-{
-    workloads::WorkloadParams p;
-    p.txSize = 256;
-    p.numKeys = 48;
-    p.seed = seed;
-    p.thinkTime = 400;
-    p.readsPerTx = 1;
-    return p;
-}
+inline constexpr auto &smallParams = verify::smallWorkloadParams;
 
 /** All six controller organizations. */
 inline std::vector<SecurityMode>

@@ -17,6 +17,7 @@
 
 #include "dolos/controller.hh"
 #include "sim/crash_points.hh"
+#include "verify/campaign.hh"
 #include "verify/sweep_driver.hh"
 #include "workloads/pmem.hh"
 
@@ -31,16 +32,11 @@ namespace cp = dolos::crashpoint;
 SystemConfig
 smallBase()
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.secure.functionalLeaves = 2048;
-    cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
+    auto cfg = smallMachineConfig(SecurityMode::DolosPartialWpq, 2048);
     // A tiny counter cache forces real counter misses and evictions
     // of dirty counter blocks.
     cfg.secure.counterCache = {"counterCache", 512, 2};
     cfg.secure.mtCache = {"mtCache", 16 * 1024, 8};
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
     return cfg;
 }
 

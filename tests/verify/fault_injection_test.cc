@@ -75,23 +75,11 @@ TEST_P(AttackDetection, SecureModesRaiseTheAlarm)
     FaultInjector inj(sys, 1000 + unsigned(kind));
     populateAndCycle(sys);
 
-    InjectionRecord rec;
-    if (kind == FaultKind::CounterRollback) {
-        // Rollback is a boot-time attack: tamper with the powered-off
-        // image, detection happens when recovery rebuilds the tree
-        // and compares against the on-chip root.
-        sys.crash();
-        rec = inj.injectCounterRollback();
-        ASSERT_TRUE(rec.injected) << rec.detail;
-        sys.recover();
-    } else {
-        // Flips are bus/NVM attacks: detection happens on the next
-        // read that authenticates the victim.
-        rec = inj.inject(kind);
-        ASSERT_TRUE(rec.injected) << rec.detail;
-        Block buf;
-        sys.core().load(rec.victim, buf.data(), blockSize);
-    }
+    // The shared fault episode: rollback is a boot-time attack, caught
+    // when recovery rebuilds the tree and compares against the on-chip
+    // root; flips are bus/NVM attacks, caught by the provoking read.
+    const auto rec = inj.injectAndProvoke(inj.armBeforeRun(kind), true);
+    ASSERT_TRUE(rec.injected) << rec.detail;
     EXPECT_TRUE(sys.attackDetected())
         << securityModeName(mode) << " missed " << faultKindName(kind)
         << ": " << rec.detail;
@@ -238,16 +226,11 @@ TEST_P(MediaFaults, WriteFailureQuarantinesNotAlarms)
     FaultInjector inj(sys, 303);
     populateAndCycle(sys);
 
-    const auto rec = inj.inject(FaultKind::MediaWriteFail);
+    // The shared fault episode rewrites the victim: every program
+    // pulse fails, the controller retries, gives up and quarantines.
+    const auto rec = inj.injectAndProvoke(
+        inj.armBeforeRun(FaultKind::MediaWriteFail), true);
     ASSERT_TRUE(rec.injected) << rec.detail;
-    // Rewrite the victim: every program pulse fails, the controller
-    // retries, gives up and quarantines.
-    const std::uint64_t v = ~patternFor(rec.victim);
-    sys.core().store(rec.victim, &v, sizeof(v));
-    sys.core().clwb(rec.victim);
-    sys.core().sfence();
-    sys.controller().drainTo(sys.core().now() + 1'000'000);
-    sys.core().compute(1'000'000);
 
     EXPECT_FALSE(sys.attackDetected()) << rec.detail;
     EXPECT_TRUE(sys.unrecoverableMedia()) << rec.detail;

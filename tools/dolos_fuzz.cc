@@ -27,17 +27,15 @@
  *   dolos_fuzz --campaign nightly   (8 episodes per mode+workload)
  */
 
-#include <atomic>
 #include <cstdio>
-#include <cstring>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/exit_codes.hh"
 #include "sim/heartbeat.hh"
 #include "sim/thread_annotations.hh"
+#include "tools/cli.hh"
+#include "verify/campaign.hh"
 #include "verify/diff_oracle.hh"
 #include "verify/fault_injector.hh"
 #include "workloads/runner.hh"
@@ -75,9 +73,9 @@ usage(int code)
         "       dolos_fuzz --mode M --workload W --seed S"
         " --crash-op N --fault F\n"
         "  --mode MODE      ideal|baseline|post-unprotected|"
-        "dolos-full|dolos-partial|dolos-post\n"
+        "dolos-full|dolos-partial|dolos-post|eadr\n"
         "  --workload NAME  hashmap|ctree|btree|rbtree|nstore-ycsb|"
-        "redis\n"
+        "redis|echo|vacation\n"
         "  --fault F        none|data-flip|mac-flip|counter-rollback|"
         "bmt-flip|torn-adr-dump|dropped-clwb|\n"
         "                   media-transient|media-stuck|"
@@ -87,66 +85,27 @@ usage(int code)
         "  --heartbeat N    emit an NDJSON progress record to "
         "stderr every N episodes\n"
         "                   (campaigns; default 5, 0 = off)\n"
-        "  --jobs N         worker threads for campaign episodes "
-        "(default 1;\n"
-        "                   verdicts are bit-identical to --jobs 1)\n"
+        "  --jobs N         worker threads for campaign episodes, "
+        "the calling thread\n"
+        "                   included (default 1; verdicts and stdout "
+        "are identical\n"
+        "                   for any N)\n"
         "  --summary-json FILE  write the campaign-summary record\n"
-        "  --seed N | --crash-op N | --txns N | --help\n");
+        "  --seed N | --crash-op N | --txns N | --help\n"
+        "Each episode arms, runs, then injects and provokes its fault "
+        "exactly as\n"
+        "dolos-sim --inject-fault does. Numbers must be whole unsigned "
+        "values;\n"
+        "a malformed value or unknown name exits 2. Exit: 0 all "
+        "passed, 1 a\n"
+        "contract was violated (REPRO line printed), 2 usage.\n");
     std::exit(code);
-}
-
-const char *
-modeCliName(SecurityMode mode)
-{
-    switch (mode) {
-      case SecurityMode::NonSecureIdeal:
-        return "ideal";
-      case SecurityMode::PreWpqSecure:
-        return "baseline";
-      case SecurityMode::PostWpqUnprotected:
-        return "post-unprotected";
-      case SecurityMode::DolosFullWpq:
-        return "dolos-full";
-      case SecurityMode::DolosPartialWpq:
-        return "dolos-partial";
-      case SecurityMode::DolosPostWpq:
-        return "dolos-post";
-      case SecurityMode::EadrSecure:
-        return "eadr";
-    }
-    return "?";
 }
 
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 std::uint64_t episodeTxns = 4;
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 bool gBmtPipeline = true; ///< --opt-knobs all|none
-
-SystemConfig
-smallConfig(SecurityMode mode)
-{
-    auto cfg = SystemConfig::paperDefault();
-    cfg.secure.bmtPipeline = gBmtPipeline;
-    cfg.mode = mode;
-    cfg.secure.functionalLeaves = 8192;
-    cfg.secure.map.protectedBytes = Addr(8192) * pageBytes;
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
-    return cfg;
-}
-
-WorkloadParams
-smallParams(std::uint64_t seed)
-{
-    WorkloadParams p;
-    p.txSize = 256;
-    p.numKeys = 48;
-    p.seed = seed;
-    p.thinkTime = 400;
-    p.readsPerTx = 1;
-    return p;
-}
 
 /** Faults this episode's mode can meaningfully receive. */
 std::vector<FaultKind>
@@ -171,96 +130,27 @@ EpisodeOutcome
 runEpisode(const EpisodeSpec &spec)
 {
     EpisodeOutcome out;
-    System sys(smallConfig(spec.mode));
+    auto cfg = smallMachineConfig(spec.mode, 8192);
+    cfg.secure.bmtPipeline = gBmtPipeline;
+    System sys(cfg);
     GoldenModel golden;
     sys.core().setObserver(&golden);
     FaultInjector inj(sys, spec.seed);
 
-    auto wl = makeWorkload(spec.workload, smallParams(spec.seed));
+    auto wl = makeWorkload(spec.workload, smallWorkloadParams(spec.seed));
 
-    InjectionRecord rec;
-    if (spec.fault == FaultKind::TornAdrDump) {
-        const unsigned entries =
-            sys.config().wpq.entriesFor(spec.mode);
-        rec = inj.armTornAdrDump(unsigned(spec.seed % entries));
-    } else if (spec.fault == FaultKind::DroppedClwb) {
-        rec = inj.armDroppedClwb(spec.seed % 64);
-    }
-
+    const InjectionRecord armed = inj.armBeforeRun(spec.fault);
     CrashPlan plan;
     plan.atOp = spec.crashOp;
     const auto res = runWorkload(sys, *wl, episodeTxns, plan);
-
-    const bool image_fault = spec.fault == FaultKind::DataFlip ||
-                             spec.fault == FaultKind::MacFlip ||
-                             spec.fault == FaultKind::CounterRollback ||
-                             spec.fault == FaultKind::BmtFlip;
-    const bool media_fault = spec.fault == FaultKind::MediaTransient ||
-                             spec.fault == FaultKind::MediaStuck ||
-                             spec.fault == FaultKind::MediaWriteFail;
-    if (media_fault) {
-        // Power-cycle to cold caches so the provoking access is a
-        // real NVM demand read/write, then wound the device.
-        sys.crash();
-        sys.recoverToCompletion();
-        rec = inj.inject(spec.fault);
-        if (rec.injected) {
-            if (spec.fault == FaultKind::MediaWriteFail) {
-                // Rewrite the victim so the failing write path has
-                // to retry and eventually quarantine.
-                const Block cur =
-                    sys.nvmDevice().readFunctional(rec.victim);
-                sys.core().store(rec.victim, cur.data(), blockSize);
-                sys.core().clwb(rec.victim);
-                sys.core().sfence();
-                sys.core().compute(1'000'000);
-                sys.controller().drainTo(sys.core().now());
-            } else {
-                // A stuck cell is *expected* to read back as
-                // quarantined zeros — that is the graceful-degradation
-                // contract, not a violation, so the provoking load
-                // bypasses the oracle. A transient flip must heal, so
-                // its load stays adjudicated.
-                const bool expect_zeros =
-                    spec.fault == FaultKind::MediaStuck;
-                if (expect_zeros)
-                    sys.core().setObserver(nullptr);
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-                if (expect_zeros)
-                    sys.core().setObserver(&golden);
-            }
-        }
-    } else if (image_fault) {
-        // Second power cycle: quiesce the caches and the ADR dump,
-        // then attack the powered-off (rollback) or recovered (flip)
-        // image and provoke the relevant check.
-        sys.crash();
-        if (spec.fault == FaultKind::CounterRollback)
-            rec = inj.inject(spec.fault);
-        sys.recover();
-        if (spec.fault != FaultKind::CounterRollback) {
-            rec = inj.inject(spec.fault);
-            if (rec.injected) {
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-            }
-        }
-    } else if (spec.fault == FaultKind::TornAdrDump && !res.crashed) {
-        // The seeded crash op landed beyond the run; the armed tear
-        // never fired. Fire it now so the episode still tests it.
-        sys.crash();
-        sys.recover();
-    }
+    const InjectionRecord rec =
+        inj.injectAndProvoke(armed, res.crashed, &golden);
 
     // Blocks a media fault rendered unrecoverable are expected to
     // diverge (they read back as quarantined zeros); the oracle must
     // still hold on every healthy block.
-    std::set<Addr> skip;
-    for (const Addr block : golden.trackedBlocks())
-        if (sys.nvmDevice().hasUnhealableFault(block))
-            skip.insert(blockAlign(block));
-    const auto report = checkAgainstGolden(sys, golden, skip);
+    const auto report =
+        checkAgainstGolden(sys, golden, mediaSkipSet(sys, golden));
     sys.core().setObserver(nullptr);
 
     out.attackDetected = sys.attackDetected();
@@ -326,7 +216,7 @@ printRepro(const EpisodeSpec &spec)
 {
     std::printf("REPRO: dolos_fuzz --mode %s --workload %s --seed %llu"
                 " --crash-op %llu --fault %s --opt-knobs %s\n",
-                modeCliName(spec.mode), spec.workload.c_str(),
+                securityModeCliName(spec.mode), spec.workload.c_str(),
                 (unsigned long long)spec.seed,
                 (unsigned long long)spec.crashOp,
                 faultKindName(spec.fault),
@@ -343,15 +233,7 @@ unsigned campaignJobs = 1;
 int
 runCampaign(const std::string &name, std::uint64_t base_seed)
 {
-    unsigned episodes_per_combo = 0;
-    if (name == "smoke") {
-        episodes_per_combo = 2;
-    } else if (name == "nightly") {
-        episodes_per_combo = 8;
-    } else {
-        std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
-        usage(ExitUsage);
-    }
+    const unsigned episodes_per_combo = name == "smoke" ? 2 : 8;
 
     const SecurityMode modes[] = {
         SecurityMode::NonSecureIdeal,
@@ -400,33 +282,12 @@ runCampaign(const std::string &name, std::uint64_t base_seed)
     unsigned total = 0, failed = 0, detected = 0, oracle_catches = 0;
     CampaignMonitor monitor("fuzz-" + name, specs.size(),
                             heartbeatEvery);
-    std::vector<EpisodeOutcome> outcomes(specs.size());
-    const unsigned jobs = unsigned(std::min<std::size_t>(
-        std::max(1u, campaignJobs), specs.size()));
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < specs.size(); ++k) {
-            outcomes[k] = runEpisode(specs[k]);
-            monitor.caseDone(specs[k].seed, !outcomes[k].passed);
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned w = 0; w < jobs; ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const std::size_t k =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (k >= specs.size())
-                        return;
-                    outcomes[k] = runEpisode(specs[k]);
-                    monitor.caseDone(specs[k].seed,
-                                     !outcomes[k].passed);
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-    }
+    const auto outcomes =
+        runCases(specs.size(), campaignJobs, [&](std::size_t k) {
+            auto out = runEpisode(specs[k]);
+            monitor.caseDone(specs[k].seed, !out.passed);
+            return out;
+        });
     // Report serially in campaign order: the failure log and REPRO
     // lines read the same however many workers ran the episodes.
     for (std::size_t k = 0; k < specs.size(); ++k) {
@@ -467,68 +328,43 @@ main(int argc, char **argv)
     bool single = false;
     std::uint64_t seed = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        if (a == "--campaign") {
-            campaign = value();
-        } else if (a == "--mode") {
-            const auto m = parseSecurityMode(value());
-            if (!m) {
-                std::fprintf(stderr, "unknown mode '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            spec.mode = *m;
+    cli::Args args(argc, argv, usage);
+    while (args.next()) {
+        if (args.is("--campaign")) {
+            campaign = args.choice({"smoke", "nightly"}) ? "nightly"
+                                                         : "smoke";
+        } else if (args.is("--mode")) {
+            spec.mode = args.mode();
             single = true;
-        } else if (a == "--workload") {
-            spec.workload = value();
+        } else if (args.is("--workload")) {
+            spec.workload = args.workload();
             single = true;
-        } else if (a == "--seed") {
-            seed = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--crash-op") {
-            spec.crashOp = std::strtoull(value(), nullptr, 0);
+        } else if (args.is("--seed")) {
+            seed = args.number();
+        } else if (args.is("--crash-op")) {
+            spec.crashOp = args.number();
             single = true;
-        } else if (a == "--txns") {
-            episodeTxns = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--heartbeat") {
-            heartbeatEvery = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--jobs") {
-            campaignJobs =
-                unsigned(std::strtoull(value(), nullptr, 0));
-            if (campaignJobs == 0) {
-                std::fprintf(stderr, "--jobs must be >= 1\n");
-                usage(ExitUsage);
-            }
-        } else if (a == "--summary-json") {
-            summaryJsonFile = value();
-        } else if (a == "--opt-knobs") {
-            const auto piped = parseBmtPipelineSpec(value());
-            if (!piped) {
-                std::fprintf(stderr, "--opt-knobs takes all|none, not "
-                             "'%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            gBmtPipeline = *piped;
-        } else if (a == "--fault") {
-            const auto kind = parseFaultKind(value());
-            if (!kind) {
-                std::fprintf(stderr, "unknown fault '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
+        } else if (args.is("--txns")) {
+            episodeTxns = args.number();
+        } else if (args.is("--heartbeat")) {
+            heartbeatEvery = args.number();
+        } else if (args.is("--jobs")) {
+            campaignJobs = args.jobs();
+        } else if (args.is("--summary-json")) {
+            summaryJsonFile = args.value();
+        } else if (args.is("--opt-knobs")) {
+            gBmtPipeline = args.bmtPipeline();
+        } else if (args.is("--fault")) {
+            const char *name = args.value();
+            const auto kind = parseFaultKind(name);
+            if (!kind)
+                args.fail("unknown fault '%s'", name);
             spec.fault = *kind;
             single = true;
-        } else if (a == "--help" || a == "-h") {
+        } else if (args.is("--help") || args.is("-h")) {
             usage(ExitOk);
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
+            args.unknown();
         }
     }
 
@@ -548,7 +384,7 @@ main(int argc, char **argv)
     const auto out = runEpisode(spec);
     std::printf("episode %s/%s fault=%s crash-op=%llu: %s "
                 "(attack=%d structure=%d oracle-violations=%llu)%s%s\n",
-                modeCliName(spec.mode), spec.workload.c_str(),
+                securityModeCliName(spec.mode), spec.workload.c_str(),
                 faultKindName(spec.fault),
                 (unsigned long long)spec.crashOp,
                 out.passed ? "PASS" : "FAIL", int(out.attackDetected),

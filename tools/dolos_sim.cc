@@ -24,6 +24,7 @@
 #include "sim/exit_codes.hh"
 #include "sim/stat_sampler.hh"
 #include "sim/trace.hh"
+#include "tools/cli.hh"
 #include "verify/fault_injector.hh"
 #include "verify/manifest_check.hh"
 #include "verify/perf_equiv.hh"
@@ -39,29 +40,29 @@ namespace
 struct Options
 {
     std::string workload = "hashmap";
-    std::string mode = "dolos-partial";
+    SecurityMode mode = SecurityMode::DolosPartialWpq;
     std::uint64_t txns = 1000;
     unsigned txSize = 1024;
     std::uint64_t numKeys = 1024;
     std::uint64_t seed = 42;
     Cycles thinkTime = 60000;
     unsigned wpqBudget = 16;
-    std::string tree = "eager";
-    std::string crashScheme = "anubis";
+    TreeUpdatePolicy tree = TreeUpdatePolicy::EagerMerkle;
+    CrashScheme crashScheme = CrashScheme::Anubis;
     std::optional<std::uint64_t> crashAt;
     bool stats = false;
     bool noCoalescing = false;
     std::string traceFile;     ///< --trace: Chrome trace_event JSON
     std::string statsJsonFile; ///< --stats-json: machine-readable stats
-    std::string injectFault;   ///< --inject-fault: post-run fault kind
-    std::string mediaRegion = "data"; ///< --media-region: fault target
+    std::optional<verify::FaultKind> injectFault; ///< --inject-fault
+    NvmRegion mediaRegion = NvmRegion::Data; ///< --media-region
     std::string damageJsonFile; ///< --damage-json: media damage report
     std::uint64_t scrubInterval = 0;  ///< --scrub-interval (0 = off)
     std::optional<unsigned> spares;   ///< --spares: NVM spare frames
     std::optional<std::uint64_t> eadrBudget; ///< --eadr-budget cycles
     bool verifyManifest = false; ///< --verify-manifest: crash-state check
     bool verifyPerfEquiv = false; ///< --verify-perf-equiv: timing diff
-    std::string optKnobs; ///< --opt-knobs: all|none
+    bool bmtPipeline = true; ///< --opt-knobs: all|none
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
     bool selfbench = false;   ///< --selfbench: host-speed self-profile
@@ -92,11 +93,16 @@ usage(int code)
         "  --trace FILE        write a Chrome trace_event JSON of the\n"
         "                      persist critical path (chrome://tracing)\n"
         "  --stats-json FILE   write run metrics + stat tree as JSON\n"
-        "  --inject-fault KIND inject one fault after the run: "
-        "data-flip|mac-flip|\n"
-        "                      counter-rollback|bmt-flip|"
-        "media-transient|media-stuck|\n"
-        "                      media-write-fail\n"
+        "  --inject-fault KIND the dolos_fuzz fault episode: arm "
+        "torn-adr-dump|\n"
+        "                      dropped-clwb before the run; after it, "
+        "power-cycle,\n"
+        "                      inject data-flip|mac-flip|"
+        "counter-rollback|bmt-flip|\n"
+        "                      media-transient|media-stuck|"
+        "media-write-fail and\n"
+        "                      provoke the detector with a demand "
+        "access\n"
         "  --media-fault K     alias: transient|stuck|write-fail\n"
         "  --media-region R    data|counter|tree|mac — which region a\n"
         "                      media transient/stuck fault lands in\n"
@@ -129,108 +135,105 @@ usage(int code)
         "                      compiled in, per-component host-time\n"
         "                      attribution, then exit\n"
         "  --seed N | --stats | --list | --help\n"
+        "Numbers must be whole unsigned values; a malformed value or "
+        "unknown name\n"
+        "is rejected (exit 2), never clamped.\n"
         "exit codes: 0 ok, 1 verification failure, 2 usage, "
         "3 attack alarm,\n"
         "            4 unrecoverable media fault\n");
     std::exit(code);
 }
 
-/** Strict base-0 integer parse: the whole token must be a number. */
-std::uint64_t
-parseNum(const char *opt, const char *text)
+/** --inject-fault KIND / --media-fault K (K names media-K). */
+verify::FaultKind
+faultValue(cli::Args &args, const std::string &prefix)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "bad numeric value '%s' for %s\n", text,
-                     opt);
-        usage(ExitUsage);
-    }
-    return v;
+    const std::string name = prefix + args.value();
+    const auto kind = verify::parseFaultKind(name);
+    if (!kind)
+        args.fail("unknown fault kind '%s'", name.c_str());
+    return *kind;
 }
 
 Options
 parse(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto numValue = [&]() { return parseNum(a.c_str(), value()); };
-        if (a == "--workload")
-            o.workload = value();
-        else if (a == "--mode")
-            o.mode = value();
-        else if (a == "--txns")
-            o.txns = numValue();
-        else if (a == "--tx-size")
-            o.txSize = unsigned(numValue());
-        else if (a == "--keys")
-            o.numKeys = numValue();
-        else if (a == "--think")
-            o.thinkTime = numValue();
-        else if (a == "--wpq")
-            o.wpqBudget = unsigned(numValue());
-        else if (a == "--tree")
-            o.tree = value();
-        else if (a == "--crash-scheme")
-            o.crashScheme = value();
-        else if (a == "--crash-at")
-            o.crashAt = numValue();
-        else if (a == "--seed")
-            o.seed = numValue();
-        else if (a == "--stats")
+    cli::Args args(argc, argv, usage);
+    while (args.next()) {
+        if (args.is("--workload"))
+            o.workload = args.workload();
+        else if (args.is("--mode"))
+            o.mode = args.mode();
+        else if (args.is("--txns"))
+            o.txns = args.number();
+        else if (args.is("--tx-size"))
+            o.txSize = args.number<unsigned>();
+        else if (args.is("--keys"))
+            o.numKeys = args.number();
+        else if (args.is("--think"))
+            o.thinkTime = args.number();
+        else if (args.is("--wpq"))
+            o.wpqBudget = args.number<unsigned>();
+        else if (args.is("--tree"))
+            o.tree = TreeUpdatePolicy(args.choice({"eager", "lazy"}));
+        else if (args.is("--crash-scheme"))
+            o.crashScheme = CrashScheme(args.choice({"anubis", "osiris"}));
+        else if (args.is("--crash-at"))
+            o.crashAt = args.number();
+        else if (args.is("--seed"))
+            o.seed = args.number();
+        else if (args.is("--stats"))
             o.stats = true;
-        else if (a == "--no-coalescing")
+        else if (args.is("--no-coalescing"))
             o.noCoalescing = true;
-        else if (a == "--trace")
-            o.traceFile = value();
-        else if (a == "--stats-json")
-            o.statsJsonFile = value();
-        else if (a == "--inject-fault")
-            o.injectFault = value();
-        else if (a == "--media-fault")
-            o.injectFault = std::string("media-") + value();
-        else if (a == "--media-region")
-            o.mediaRegion = value();
-        else if (a == "--scrub-interval")
-            o.scrubInterval = numValue();
-        else if (a == "--spares")
-            o.spares = unsigned(numValue());
-        else if (a == "--eadr-budget")
-            o.eadrBudget = numValue();
-        else if (a == "--damage-json")
-            o.damageJsonFile = value();
-        else if (a == "--verify-manifest")
+        else if (args.is("--trace"))
+            o.traceFile = args.value();
+        else if (args.is("--stats-json"))
+            o.statsJsonFile = args.value();
+        else if (args.is("--inject-fault"))
+            o.injectFault = faultValue(args, "");
+        else if (args.is("--media-fault"))
+            o.injectFault = faultValue(args, "media-");
+        else if (args.is("--media-region"))
+            o.mediaRegion =
+                NvmRegion(args.choice({"data", "counter", "mac", "tree"}));
+        else if (args.is("--scrub-interval"))
+            o.scrubInterval = args.number();
+        else if (args.is("--spares"))
+            o.spares = args.number<unsigned>();
+        else if (args.is("--eadr-budget"))
+            o.eadrBudget = args.number();
+        else if (args.is("--damage-json"))
+            o.damageJsonFile = args.value();
+        else if (args.is("--verify-manifest"))
             o.verifyManifest = true;
-        else if (a == "--verify-perf-equiv")
+        else if (args.is("--verify-perf-equiv"))
             o.verifyPerfEquiv = true;
-        else if (a == "--opt-knobs")
-            o.optKnobs = value();
-        else if (a == "--sample-interval")
-            o.sampleInterval = numValue();
-        else if (a == "--stats-timeline")
-            o.timelineFile = value();
-        else if (a == "--selfbench")
+        else if (args.is("--opt-knobs"))
+            o.bmtPipeline = args.bmtPipeline();
+        else if (args.is("--sample-interval"))
+            o.sampleInterval = args.number();
+        else if (args.is("--stats-timeline"))
+            o.timelineFile = args.value();
+        else if (args.is("--selfbench"))
             o.selfbench = true;
-        else if (a == "--list") {
+        else if (args.is("--list")) {
             for (const auto &n : extendedWorkloadNames())
                 std::printf("%s\n", n.c_str());
             std::exit(0);
-        } else if (a == "--help" || a == "-h")
+        } else if (args.is("--help") || args.is("-h"))
             usage(ExitOk);
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
-        }
+        else
+            args.unknown();
     }
+    if (o.mediaRegion != NvmRegion::Data &&
+        o.injectFault != verify::FaultKind::MediaTransient &&
+        o.injectFault != verify::FaultKind::MediaStuck)
+        args.fail("--media-region needs --media-fault transient|stuck");
+    if ((o.sampleInterval == 0) != o.timelineFile.empty())
+        args.fail("--sample-interval and --stats-timeline must be used "
+                  "together");
     return o;
 }
 
@@ -266,25 +269,13 @@ main(int argc, char **argv)
 {
     const Options o = parse(argc, argv);
 
-    if ((o.sampleInterval == 0) != o.timelineFile.empty()) {
-        std::fprintf(stderr,
-                     "--sample-interval and --stats-timeline must be "
-                     "used together\n");
-        usage(ExitUsage);
-    }
-
     if (o.selfbench) {
         SelfbenchOptions sb;
         sb.workload = o.workload;
         sb.txns = o.txns;
         sb.numKeys = o.numKeys;
         sb.seed = o.seed;
-        const auto mode = parseSecurityMode(o.mode);
-        if (!mode) {
-            std::fprintf(stderr, "unknown mode '%s'\n", o.mode.c_str());
-            usage(ExitUsage);
-        }
-        sb.mode = *mode;
+        sb.mode = o.mode;
         const auto r = runSelfbench(sb);
         formatSelfbench(r, std::cout);
         return ExitOk;
@@ -324,64 +315,16 @@ main(int argc, char **argv)
 #endif
     }
 
-    std::optional<verify::FaultKind> injectKind;
-    if (!o.injectFault.empty()) {
-        injectKind = verify::parseFaultKind(o.injectFault);
-        if (!injectKind) {
-            std::fprintf(stderr, "unknown fault kind '%s'\n",
-                         o.injectFault.c_str());
-            usage(ExitUsage);
-        }
-    }
-
-    NvmRegion mediaRegion = NvmRegion::Data;
-    if (o.mediaRegion == "counter")
-        mediaRegion = NvmRegion::Counter;
-    else if (o.mediaRegion == "tree")
-        mediaRegion = NvmRegion::Tree;
-    else if (o.mediaRegion == "mac")
-        mediaRegion = NvmRegion::Mac;
-    else if (o.mediaRegion != "data") {
-        std::fprintf(stderr, "unknown media region '%s'\n",
-                     o.mediaRegion.c_str());
-        usage(ExitUsage);
-    }
-    if (mediaRegion != NvmRegion::Data &&
-        (!injectKind ||
-         (*injectKind != verify::FaultKind::MediaTransient &&
-          *injectKind != verify::FaultKind::MediaStuck))) {
-        std::fprintf(stderr,
-                     "--media-region needs --media-fault "
-                     "transient|stuck\n");
-        usage(ExitUsage);
-    }
-
     auto cfg = SystemConfig::paperDefault();
-    const auto mode = parseSecurityMode(o.mode);
-    if (!mode) {
-        std::fprintf(stderr, "unknown mode '%s'\n", o.mode.c_str());
-        usage(ExitUsage);
-    }
-    cfg.mode = *mode;
-    cfg.secure.treePolicy = o.tree == "lazy" ? TreeUpdatePolicy::LazyToc
-                                             : TreeUpdatePolicy::EagerMerkle;
-    cfg.secure.crashScheme = o.crashScheme == "osiris"
-                                 ? CrashScheme::Osiris
-                                 : CrashScheme::Anubis;
+    cfg.mode = o.mode;
+    cfg.secure.treePolicy = o.tree;
+    cfg.secure.crashScheme = o.crashScheme;
     cfg.wpq.adrBudgetEntries = o.wpqBudget;
     cfg.wpq.partialEntries = o.wpqBudget * 8 / 9 - 1;
     cfg.wpq.postEntries =
         o.wpqBudget > 6 ? o.wpqBudget * 8 / 9 - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
-    if (!o.optKnobs.empty()) {
-        const auto piped = parseBmtPipelineSpec(o.optKnobs);
-        if (!piped) {
-            std::fprintf(stderr, "--opt-knobs takes all|none, not '%s'\n",
-                         o.optKnobs.c_str());
-            usage(ExitUsage);
-        }
-        cfg.secure.bmtPipeline = *piped;
-    }
+    cfg.secure.bmtPipeline = o.bmtPipeline;
     cfg.secure.scrubIntervalWrites = o.scrubInterval;
     if (o.spares)
         cfg.nvm.spareBlocks = *o.spares;
@@ -416,6 +359,16 @@ main(int argc, char **argv)
         sampler.emplace(o.sampleInterval);
         sys.attachStatSampler(&*sampler);
         sampler->begin(sys.core().now());
+    }
+
+    // --inject-fault: the fault episode dolos_fuzz runs (see
+    // FaultInjector::injectAndProvoke), armed now, provoked after the
+    // run's report.
+    std::optional<verify::FaultInjector> inj;
+    std::optional<verify::InjectionRecord> armed;
+    if (o.injectFault) {
+        inj.emplace(sys, o.seed);
+        armed = inj->armBeforeRun(*o.injectFault);
     }
 
     const auto res = runWorkload(sys, *wl, o.txns, crash);
@@ -463,54 +416,12 @@ main(int argc, char **argv)
     std::printf("attacks detected    : %" PRIu64 "\n",
                 std::uint64_t(sys.engine().attacksDetected()));
 
-    if (injectKind) {
-        // Post-run fault phase, mirroring the fuzz episodes: power-
-        // cycle to a cold machine, inject, then provoke the detector
-        // with a demand access to the victim block.
-        using verify::FaultKind;
-        verify::FaultInjector inj(sys, o.seed);
-        verify::InjectionRecord rec;
-        if (*injectKind == FaultKind::CounterRollback) {
-            sys.crash();
-            rec = inj.inject(*injectKind);
-            sys.recoverToCompletion();
-        } else if (*injectKind == FaultKind::MediaWriteFail) {
-            rec = inj.inject(*injectKind);
-            if (rec.injected) {
-                // Provoke: rewrite the victim so the failing write
-                // path has to retry and eventually quarantine.
-                const Block cur =
-                    sys.nvmDevice().readFunctional(rec.victim);
-                sys.core().store(rec.victim, cur.data(), blockSize);
-                sys.core().clwb(rec.victim);
-                sys.core().sfence();
-                sys.core().compute(1'000'000);
-                sys.controller().drainTo(sys.core().now());
-            }
-        } else if (mediaRegion != NvmRegion::Data) {
-            // Metadata faults land BEFORE the crash: the worn frame
-            // is then read by recovery itself, which must
-            // disambiguate wear from tamper and repair or cascade.
-            rec = *injectKind == FaultKind::MediaTransient
-                      ? inj.injectMediaTransient(mediaRegion)
-                      : inj.injectMediaStuck(mediaRegion);
-            sys.crash();
-            sys.recoverToCompletion();
-            if (rec.injected) {
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-            }
-        } else {
-            sys.crash();
-            sys.recoverToCompletion();
-            rec = inj.inject(*injectKind);
-            if (rec.injected) {
-                Block buf;
-                sys.core().load(rec.victim, buf.data(), blockSize);
-            }
-        }
+    if (armed) {
+        const auto rec =
+            inj->injectAndProvoke(*armed, res.crashed, nullptr,
+                                  o.mediaRegion);
         std::printf("fault injected      : %s%s (%s)\n",
-                    verify::faultKindName(*injectKind),
+                    verify::faultKindName(rec.kind),
                     rec.injected ? "" : " [no target found]",
                     rec.detail.c_str());
         std::printf("post-fault alarms   : %" PRIu64 "\n",

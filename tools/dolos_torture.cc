@@ -40,23 +40,20 @@
  * 2 usage, 3 attack alarm, 4 unrecoverable media.
  */
 
-#include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "secure/address_map.hh"
-#include "secure/merkle_tree.hh"
 #include "sim/crash_points.hh"
 #include "sim/exit_codes.hh"
 #include "sim/heartbeat.hh"
 #include "sim/random.hh"
 #include "sim/thread_annotations.hh"
+#include "tools/cli.hh"
+#include "verify/campaign.hh"
 #include "verify/diff_oracle.hh"
 #include "verify/fault_injector.hh"
 #include "verify/sweep_driver.hh"
@@ -143,11 +140,19 @@ usage(int code)
         "every N cases\n"
         "                (campaign and sweep; default 5, 0 = off)\n"
         "  --jobs N      worker threads for campaign episodes and "
-        "sweep crash points\n"
-        "                (default 1; verdicts are bit-identical to "
-        "--jobs 1)\n"
+        "sweep crash points,\n"
+        "                the calling thread included (default 1; "
+        "verdicts and stdout\n"
+        "                are identical for any N: failures are "
+        "reported and minimized\n"
+        "                in episode order after the run)\n"
         "  --summary-json FILE\n"
-        "                write the campaign-summary record to FILE\n");
+        "                write the campaign-summary record to FILE\n"
+        "Numbers must be whole unsigned values; a malformed value or "
+        "unknown name\n"
+        "exits 2. Exit: 0 ok, 1 oracle violation, 2 usage, 3 attack "
+        "alarm,\n"
+        "4 unrecoverable media.\n");
     std::exit(code);
 }
 
@@ -170,15 +175,9 @@ std::optional<std::uint64_t> gEadrBudget;
 SystemConfig
 tortureConfig(SecurityMode mode)
 {
-    auto cfg = SystemConfig::paperDefault();
-    cfg.mode = mode;
+    auto cfg = smallMachineConfig(mode, 2048);
     if (gEadrBudget)
         cfg.eadr.energyBudgetCycles = *gEadrBudget;
-    cfg.secure.functionalLeaves = 2048;
-    cfg.secure.map.protectedBytes = Addr(2048) * pageBytes;
-    cfg.hierarchy.l1 = {"l1", 1024, 2, 2};
-    cfg.hierarchy.l2 = {"l2", 4096, 4, 20};
-    cfg.hierarchy.llc = {"llc", 16384, 8, 32};
     cfg.secure.bmtPipeline = gBmtPipeline;
     return cfg;
 }
@@ -367,16 +366,6 @@ runProgram(SecurityMode mode, const std::vector<Op> &ops,
     auto &creg = crashpoint::Registry::instance();
     creg.reset();
 
-    // Stick a cell at the complement of its stored value so the fault
-    // is visible on the very next read of @p addr.
-    const auto stickBit = [&sys](Addr addr, std::uint64_t raw_bit) {
-        const unsigned bit = unsigned(raw_bit) % (blockSize * 8);
-        const Block stored = sys.nvmDevice().readFunctional(addr);
-        const bool current =
-            stored[bit / 8] & std::uint8_t(1u << (bit % 8));
-        sys.nvmDevice().injectStuckBit(addr, bit, !current);
-    };
-
     for (const Op &op : ops) {
         try {
         switch (op.kind) {
@@ -421,26 +410,23 @@ runProgram(SecurityMode mode, const std::vector<Op> &ops,
             sys.nvmDevice().injectTransientFlip(slotAddr(op.a),
                                                 unsigned(op.b));
             break;
-          case 'k':
-            stickBit(slotAddr(op.a), op.b);
-            break;
           case 'x':
             sys.nvmDevice().injectWriteFail(slotAddr(op.a),
                                             unsigned(op.b));
             break;
+          case 'k':
           case 'C':
-            stickBit(AddressMap::counterBlockAddr(slotAddr(op.a)),
-                     op.b);
-            break;
           case 'B':
-            stickBit(AddressMap::treeNodeAddr(
-                         1, AddressMap::pageOf(slotAddr(op.a)) /
-                                MerkleTree::arity),
-                     op.b);
+          case 'M': {
+            const NvmRegion region = op.kind == 'C'   ? NvmRegion::Counter
+                                     : op.kind == 'B' ? NvmRegion::Tree
+                                     : op.kind == 'M' ? NvmRegion::Mac
+                                                      : NvmRegion::Data;
+            stickAtComplement(sys.nvmDevice(),
+                              metadataFrameOf(region, slotAddr(op.a)),
+                              unsigned(op.b % (blockSize * 8)));
             break;
-          case 'M':
-            stickBit(AddressMap::macBlockAddr(slotAddr(op.a)), op.b);
-            break;
+          }
           default:
             break;
         }
@@ -464,11 +450,8 @@ runProgram(SecurityMode mode, const std::vector<Op> &ops,
 
     // Blocks this schedule deliberately destroyed are expected to
     // diverge; the oracle must hold on every other block.
-    std::set<Addr> skip;
-    for (const Addr block : golden.trackedBlocks())
-        if (sys.nvmDevice().hasUnhealableFault(block))
-            skip.insert(blockAlign(block));
-    const auto report = checkAgainstGolden(sys, golden, skip);
+    const auto report =
+        checkAgainstGolden(sys, golden, mediaSkipSet(sys, golden));
     sys.core().setObserver(nullptr);
 
     out.attack = sys.attackDetected();
@@ -522,26 +505,18 @@ minimizeOps(std::vector<Op> ops,
     return ops;
 }
 
-const char *
-modeCliName(SecurityMode mode)
+/**
+ * The machine flags every repro line carries. The engine is always
+ * named: a repro recorded before a default flip must rebuild the same
+ * machine after it.
+ */
+std::string
+machineArgs()
 {
-    switch (mode) {
-      case SecurityMode::NonSecureIdeal:
-        return "ideal";
-      case SecurityMode::PreWpqSecure:
-        return "baseline";
-      case SecurityMode::PostWpqUnprotected:
-        return "post-unprotected";
-      case SecurityMode::DolosFullWpq:
-        return "dolos-full";
-      case SecurityMode::DolosPartialWpq:
-        return "dolos-partial";
-      case SecurityMode::DolosPostWpq:
-        return "dolos-post";
-      case SecurityMode::EadrSecure:
-        return "eadr";
-    }
-    return "?";
+    std::string args;
+    if (gEadrBudget)
+        args = " --eadr-budget " + std::to_string(*gEadrBudget);
+    return args + " --opt-knobs " + bmtPipelineSpec(gBmtPipeline);
 }
 
 void
@@ -553,16 +528,9 @@ printRepro(SecurityMode mode, const std::vector<Op> &ops,
         bug = " --plant-bug drop-clwb:" + std::to_string(*plant.clwbDrop);
     else if (plant.badCounterRepair)
         bug = " --plant-bug bad-counter-repair";
-    std::string budget;
-    if (gEadrBudget)
-        budget = " --eadr-budget " + std::to_string(*gEadrBudget);
-    // Always name the engine: a repro line recorded before a default
-    // flip must rebuild the same machine after it.
-    std::printf("REPRO: dolos_torture --mode %s%s%s --opt-knobs %s "
-                "--replay %s\n",
-                modeCliName(mode), bug.c_str(), budget.c_str(),
-                bmtPipelineSpec(gBmtPipeline),
-                formatOps(ops).c_str());
+    std::printf("REPRO: dolos_torture --mode %s%s%s --replay %s\n",
+                securityModeCliName(mode), bug.c_str(),
+                machineArgs().c_str(), formatOps(ops).c_str());
 }
 
 /** Minimize a failing schedule and print the one-line repro. */
@@ -597,103 +565,78 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string summaryJson;
     std::string sweepWorkload = "hashmap";
-    std::string sweepPoints = "every-op";
+    // --points, in CrashPoints order; the repro line spells it back.
+    static constexpr const char *pointNames[] = {"wpq", "every-op",
+                                                 "microstep"};
+    auto points = CrashPoints::EveryOp;
     std::size_t sweepBudget = 4;
     std::uint64_t sweepTxns = 3;
     std::optional<unsigned> recoveryCrash;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             a.c_str());
-                usage(ExitUsage);
-            }
-            return argv[++i];
-        };
-        if (a == "--seed") {
-            seed = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--campaign") {
-            campaign = unsigned(std::strtoull(value(), nullptr, 0));
-        } else if (a == "--ops") {
-            opsPerEpisode =
-                unsigned(std::strtoull(value(), nullptr, 0));
-        } else if (a == "--mode") {
-            const auto m = parseSecurityMode(value());
-            if (!m) {
-                std::fprintf(stderr, "unknown mode '%s'\n", argv[i]);
-                usage(ExitUsage);
-            }
-            mode = *m;
-        } else if (a == "--replay") {
-            replaySpec = value();
-        } else if (a == "--plant-bug") {
-            const std::string spec = value();
-            unsigned long long k = 0;
-            if (spec == "bad-counter-repair") {
+    cli::Args args(argc, argv, usage);
+    while (args.next()) {
+        if (args.is("--seed")) {
+            seed = args.number();
+        } else if (args.is("--campaign")) {
+            campaign = args.number<unsigned>();
+        } else if (args.is("--ops")) {
+            opsPerEpisode = args.number<unsigned>();
+        } else if (args.is("--mode")) {
+            mode = args.mode();
+        } else if (args.is("--replay")) {
+            replaySpec = args.value();
+        } else if (args.is("--plant-bug")) {
+            const std::string spec = args.value();
+            const auto drop = spec.rfind("drop-clwb:", 0) == 0
+                                  ? cli::parseUnsigned(spec.c_str() + 10)
+                                  : std::nullopt;
+            if (spec == "bad-counter-repair")
                 plant.badCounterRepair = true;
-            } else if (std::sscanf(spec.c_str(), "drop-clwb:%llu",
-                                   &k) == 1) {
-                plant.clwbDrop = k;
-            } else {
-                std::fprintf(stderr, "unknown bug spec '%s'\n",
-                             spec.c_str());
-                usage(ExitUsage);
-            }
-        } else if (a == "--expect-bug") {
-            expectBug = unsigned(std::strtoull(value(), nullptr, 0));
-        } else if (a == "--sweep") {
+            else if (drop)
+                plant.clwbDrop = drop;
+            else
+                args.fail("unknown bug spec '%s'", spec.c_str());
+        } else if (args.is("--expect-bug")) {
+            expectBug = args.number<unsigned>();
+        } else if (args.is("--sweep")) {
             sweep = true;
-        } else if (a == "--workload") {
-            sweepWorkload = value();
-        } else if (a == "--points") {
-            sweepPoints = value();
-        } else if (a == "--budget") {
-            sweepBudget = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--txns") {
-            sweepTxns = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--recovery-crash") {
-            recoveryCrash =
-                unsigned(std::strtoull(value(), nullptr, 0));
-        } else if (a == "--eadr-budget") {
-            const std::uint64_t v =
-                std::strtoull(value(), nullptr, 0);
-            if (v == 0) {
-                std::fprintf(stderr,
-                             "--eadr-budget must be nonzero (a zero "
-                             "budget could never admit a line)\n");
-                usage(ExitUsage);
-            }
-            gEadrBudget = v;
-        } else if (a == "--meta-faults") {
+        } else if (args.is("--workload")) {
+            sweepWorkload = args.workload();
+        } else if (args.is("--points")) {
+            points = CrashPoints(args.choice(pointNames));
+        } else if (args.is("--budget")) {
+            sweepBudget = args.number<std::size_t>();
+        } else if (args.is("--txns")) {
+            sweepTxns = args.number();
+        } else if (args.is("--recovery-crash")) {
+            recoveryCrash = args.number<unsigned>();
+        } else if (args.is("--eadr-budget")) {
+            gEadrBudget = args.number();
+            if (*gEadrBudget == 0)
+                args.fail("--eadr-budget must be nonzero (a zero "
+                          "budget could never admit a line)");
+        } else if (args.is("--meta-faults")) {
             metaFaults = true;
-        } else if (a == "--heartbeat") {
-            heartbeat = std::strtoull(value(), nullptr, 0);
-        } else if (a == "--jobs") {
-            jobs = unsigned(std::strtoull(value(), nullptr, 0));
-            if (jobs == 0) {
-                std::fprintf(stderr, "--jobs must be >= 1\n");
-                usage(ExitUsage);
-            }
-        } else if (a == "--summary-json") {
-            summaryJson = value();
-        } else if (a == "--opt-knobs") {
-            const std::string spec = value();
-            const auto piped = parseBmtPipelineSpec(spec);
-            if (!piped) {
-                std::fprintf(stderr, "--opt-knobs takes all|none, not "
-                             "'%s'\n", spec.c_str());
-                usage(ExitUsage);
-            }
-            gBmtPipeline = *piped;
-        } else if (a == "--help" || a == "-h") {
+        } else if (args.is("--heartbeat")) {
+            heartbeat = args.number();
+        } else if (args.is("--jobs")) {
+            jobs = args.jobs();
+        } else if (args.is("--summary-json")) {
+            summaryJson = args.value();
+        } else if (args.is("--opt-knobs")) {
+            gBmtPipeline = args.bmtPipeline();
+        } else if (args.is("--help") || args.is("-h")) {
             usage(ExitOk);
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(ExitUsage);
+            args.unknown();
         }
     }
+
+    // Modes with an interruptible persist surface: the Dolos modes
+    // (the ADR dump re-drains what an interrupted engine left behind)
+    // and eADR (the holdup flush quarantines what it could not cover).
+    const bool interruptible =
+        isDolosMode(mode) || mode == SecurityMode::EadrSecure;
 
     if (sweep) {
         // Arbitrary-cycle crash sweep (optionally with a compound
@@ -704,35 +647,17 @@ main(int argc, char **argv)
         opt.workload = sweepWorkload;
         opt.numTx = sweepTxns;
         opt.base = tortureConfig(mode);
-        opt.params.txSize = 256;
-        opt.params.numKeys = 48;
-        opt.params.seed = seed;
-        opt.params.thinkTime = 400;
-        opt.params.readsPerTx = 1;
+        opt.params = smallWorkloadParams(seed);
         opt.budget = sweepBudget;
         opt.sampleSeed = seed;
-        if (sweepPoints == "every-op") {
-            opt.pointSet = CrashPoints::EveryOp;
-        } else if (sweepPoints == "wpq") {
-            opt.pointSet = CrashPoints::WpqBoundaries;
-        } else if (sweepPoints == "microstep") {
-            if (!isDolosMode(mode) &&
-                mode != SecurityMode::EadrSecure) {
-                std::fprintf(stderr,
-                             "--points microstep needs a mode with an "
-                             "interruptible persist surface: "
-                             "dolos-full|dolos-partial|dolos-post "
-                             "(the re-drainable ADR dump) or eadr "
-                             "(the holdup flush); got %s\n",
-                             modeCliName(mode));
-                usage(ExitUsage);
-            }
-            opt.pointSet = CrashPoints::Microstep;
-        } else {
-            std::fprintf(stderr, "unknown --points '%s'\n",
-                         sweepPoints.c_str());
-            usage(ExitUsage);
-        }
+        opt.pointSet = points;
+        if (opt.pointSet == CrashPoints::Microstep && !interruptible)
+            args.fail("--points microstep needs a mode with an "
+                      "interruptible persist surface: "
+                      "dolos-full|dolos-partial|dolos-post (the "
+                      "re-drainable ADR dump) or eadr (the holdup "
+                      "flush); got %s",
+                      securityModeCliName(mode));
         opt.recoveryCrashStep = recoveryCrash;
         opt.metadataFaults = metaFaults;
         opt.heartbeatEvery = heartbeat;
@@ -756,27 +681,22 @@ main(int argc, char **argv)
         }
         if (!result.allPassed()) {
             std::printf("FAIL: %s\n", result.firstFailure().c_str());
-            const std::string budget_arg =
-                gEadrBudget ? " --eadr-budget " +
-                                  std::to_string(*gEadrBudget)
-                            : std::string();
             // --jobs stays in the repro line for fidelity, but the
             // verdicts are jobs-invariant: a --jobs 1 re-run must
             // reproduce any parallel-run finding.
             std::printf("REPRO: dolos_torture --sweep --mode %s "
                         "--workload %s --txns %llu --budget %zu "
-                        "--seed %llu --points %s%s%s%s%s "
-                        "--opt-knobs %s --jobs %u\n",
-                        modeCliName(mode), sweepWorkload.c_str(),
+                        "--seed %llu --points %s%s%s%s%s --jobs %u\n",
+                        securityModeCliName(mode), sweepWorkload.c_str(),
                         (unsigned long long)sweepTxns, sweepBudget,
-                        (unsigned long long)seed, sweepPoints.c_str(),
+                        (unsigned long long)seed,
+                        pointNames[unsigned(points)],
                         recoveryCrash ? " --recovery-crash " : "",
                         recoveryCrash
                             ? std::to_string(*recoveryCrash).c_str()
                             : "",
                         metaFaults ? " --meta-faults" : "",
-                        budget_arg.c_str(),
-                        bmtPipelineSpec(gBmtPipeline), jobs);
+                        machineArgs().c_str(), jobs);
             return ExitViolation;
         }
         return ExitOk;
@@ -815,10 +735,8 @@ main(int argc, char **argv)
         const auto hunt = [&](const PlantSpec &spec,
                               const char *label) -> bool {
             for (unsigned ep = 0; ep < 50; ++ep) {
-                const auto ops = genProgram(
-                    seed + ep, opsPerEpisode,
-                    isDolosMode(mode) ||
-                        mode == SecurityMode::EadrSecure);
+                const auto ops =
+                    genProgram(seed + ep, opsPerEpisode, interruptible);
                 const auto out = runProgram(mode, ops, spec);
                 if (!out.failed)
                     continue;
@@ -873,65 +791,25 @@ main(int argc, char **argv)
                 (unsigned long long)seed,
                 bmtPipelineSpec(gBmtPipeline), jobs);
     CampaignMonitor monitor("torture", campaign, heartbeat);
-    if (jobs <= 1) {
-        for (unsigned ep = 0; ep < campaign; ++ep) {
-            const std::uint64_t ep_seed = seed + ep;
-            const auto ops = genProgram(
-                ep_seed, opsPerEpisode,
-                isDolosMode(mode) || mode == SecurityMode::EadrSecure);
-            const auto out = runProgram(mode, ops, PlantSpec{});
-            monitor.caseDone(ep_seed, out.failed);
-            if (!out.failed)
-                continue;
-            ++failed;
-            any_attack |= out.attack;
-            std::printf("FAIL episode %u (seed %llu): %s\n", ep,
-                        (unsigned long long)ep_seed, out.note.c_str());
-            minimizeAndReport(mode, ops, PlantSpec{});
-        }
-    } else {
-        // Two-phase parallel campaign: workers run episodes into
-        // per-episode slots (each episode is seeded and
-        // self-contained, so the outcome set is identical to the
-        // serial run), then failures are reported and minimized
-        // serially in episode order so the log and the minimizer's
-        // stdout stay deterministic.
-        std::vector<Outcome> outcomes(campaign);
-        std::atomic<unsigned> next{0};
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned w = 0; w < std::min(jobs, campaign); ++w)
-            workers.emplace_back([&] {
-                for (;;) {
-                    const unsigned ep =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (ep >= campaign)
-                        return;
-                    const std::uint64_t ep_seed = seed + ep;
-                    const auto ops = genProgram(
-                        ep_seed, opsPerEpisode,
-                        isDolosMode(mode) ||
-                            mode == SecurityMode::EadrSecure);
-                    outcomes[ep] = runProgram(mode, ops, PlantSpec{});
-                    monitor.caseDone(ep_seed, outcomes[ep].failed);
-                }
-            });
-        for (auto &t : workers)
-            t.join();
-        for (unsigned ep = 0; ep < campaign; ++ep) {
-            const auto &out = outcomes[ep];
-            if (!out.failed)
-                continue;
-            ++failed;
-            any_attack |= out.attack;
-            const std::uint64_t ep_seed = seed + ep;
-            std::printf("FAIL episode %u (seed %llu): %s\n", ep,
-                        (unsigned long long)ep_seed, out.note.c_str());
-            const auto ops = genProgram(
-                ep_seed, opsPerEpisode,
-                isDolosMode(mode) || mode == SecurityMode::EadrSecure);
-            minimizeAndReport(mode, ops, PlantSpec{});
-        }
+    const auto program = [&](unsigned ep) {
+        return genProgram(seed + ep, opsPerEpisode, interruptible);
+    };
+    const auto outcomes = runCases(campaign, jobs, [&](std::size_t ep) {
+        auto out = runProgram(mode, program(unsigned(ep)), PlantSpec{});
+        monitor.caseDone(seed + ep, out.failed);
+        return out;
+    });
+    // Report and minimize in episode order, after the run: the log
+    // and the minimizer's stdout read the same for any --jobs.
+    for (unsigned ep = 0; ep < campaign; ++ep) {
+        const auto &out = outcomes[ep];
+        if (!out.failed)
+            continue;
+        ++failed;
+        any_attack |= out.attack;
+        std::printf("FAIL episode %u (seed %llu): %s\n", ep,
+                    (unsigned long long)(seed + ep), out.note.c_str());
+        minimizeAndReport(mode, program(ep), PlantSpec{});
     }
     monitor.finish();
     if (!summaryJson.empty() && !monitor.writeSummary(summaryJson)) {
