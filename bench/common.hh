@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,7 @@ struct BenchOptions
     std::string jsonFile;  ///< override the artifact path
     bool bmtPipeline = true; ///< --opt-knobs all|none: pipelined or
                              ///< the paper's serial Ma-SU engine
+    std::optional<unsigned> wpqWatermark; ///< --wpq-watermark P
 
     [[noreturn]] static void
     usage(int code)
@@ -49,7 +51,8 @@ struct BenchOptions
         std::printf("options: --txns N | --full | --keys N | --seed N"
                     " | --no-verify | --json [FILE]"
                     " | --opt-knobs all|none (none = paper's serial"
-                    " Ma-SU)\n");
+                    " Ma-SU) | --wpq-watermark P (drain at P%% of the"
+                    " WPQ undrained, 0..100)\n");
         std::exit(code);
     }
 
@@ -76,6 +79,8 @@ struct BenchOptions
                     o.jsonFile = file;
             } else if (args.is("--opt-knobs")) {
                 o.bmtPipeline = args.bmtPipeline();
+            } else if (args.is("--wpq-watermark")) {
+                o.wpqWatermark = args.percent();
             } else if (args.is("--help") || args.is("-h")) {
                 usage(ExitOk);
             } else {
@@ -217,6 +222,8 @@ runOne(const std::string &workload, SecurityMode mode,
     cfg.secure.treePolicy = policy;
     if (wpq_override)
         cfg.wpq = *wpq_override;
+    if (opts.wpqWatermark)
+        cfg.wpq.drainWatermarkPct = *opts.wpqWatermark;
     cfg.secure.bmtPipeline = opts.bmtPipeline;
     System sys(cfg);
     auto wl = workloads::makeWorkload(workload,

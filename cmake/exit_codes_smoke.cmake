@@ -54,6 +54,16 @@ foreach(bad "--tree;lazzy;--crash-scheme;osirs" "--tree;lazzy"
         "--crash-scheme;osirs" "--txns;10x")
     expect_rc(2 "${SIM}" ${bad} --txns 10)
 endforeach()
+# --wpq-watermark takes a whole percentage, 0..100.
+foreach(bad "101" "-1" "5x")
+    expect_rc(2 "${SIM}" --wpq-watermark ${bad} --txns 10)
+    expect_rc(2 "${TORTURE}" --replay w:1:7,f:1,s,c --wpq-watermark ${bad})
+endforeach()
+foreach(pct 0 100)
+    expect_rc(0 "${SIM}" --workload hashmap --mode dolos-partial
+                --txns 10 --keys 64 --wpq-watermark ${pct})
+    expect_rc(0 "${TORTURE}" --replay w:1:7,f:1,s,c --wpq-watermark ${pct})
+endforeach()
 foreach(bad "--seed;abc" "--jobs;2x" "--jobs;0")
     expect_rc(2 "${TORTURE}" ${bad} --campaign 2)
 endforeach()

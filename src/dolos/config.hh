@@ -143,6 +143,16 @@ struct WpqParams
     /** Enable write coalescing via the volatile tag array. */
     bool coalescing = true;
 
+    /**
+     * Drain high watermark, in percent of the mode's usable entries
+     * (0..100). The oldest undrained entry starts draining once the
+     * undrained count reaches drainWatermark(mode); until then the
+     * entries wait in the queue, where later writes to the same
+     * block coalesce into them. 0 drains every entry as soon as the
+     * drain server is free (the eager queue).
+     */
+    unsigned drainWatermarkPct = 75;
+
     /** Usable entries for the given mode. */
     unsigned
     entriesFor(SecurityMode mode) const
@@ -155,6 +165,19 @@ struct WpqParams
           default:
             return adrBudgetEntries;
         }
+    }
+
+    /**
+     * The drain watermark H = max(1, ceil(p * entries / 100)) for
+     * @p mode: a percentage keeps 1 <= H <= entriesFor(mode) for any
+     * WPQ size, so a full queue always has an entry to drain.
+     */
+    unsigned
+    drainWatermark(SecurityMode mode) const
+    {
+        const unsigned entries = entriesFor(mode);
+        const unsigned h = (drainWatermarkPct * entries + 99) / 100;
+        return h ? h : 1;
     }
 };
 

@@ -79,6 +79,8 @@ validateConfig(const SystemConfig &cfg)
         return "wpq.partialEntries exceeds the ADR budget";
     if (w.postEntries > w.adrBudgetEntries)
         return "wpq.postEntries exceeds the ADR budget";
+    if (w.drainWatermarkPct > 100)
+        return "wpq.drainWatermarkPct must be within 0..100";
     if (w.retryInterval == 0)
         return "wpq.retryInterval must be nonzero (insertion retries "
                "would not advance time)";
@@ -118,6 +120,7 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
       nvm(nvm),
       engine(engine),
       capacity(cfg.wpq.entriesFor(cfg.mode)),
+      watermark(cfg.wpq.drainWatermark(cfg.mode)),
       stats_("mc")
 {
     if (isDolosMode(cfg.mode)) {
@@ -146,6 +149,8 @@ SecureMemController::SecureMemController(const SystemConfig &cfg,
                       "cycles from arrival to persistence");
     stats_.addAverage(&statOccupancy, "occupancy",
                       "WPQ entries in use at insertion");
+    stats_.addAverage(&statUndrained, "undrainedOccupancy",
+                      "undrained WPQ entries at insertion");
     stats_.addAverage(&statDrainLatency, "drainLatency",
                       "cycles from persist to Ma-SU clear");
     stats_.addHistogram(&statPersistLatencyHist, "persistLatencyHist",
@@ -219,16 +224,17 @@ SecureMemController::drainEntry(WpqEntry &e)
     Tick done;
     switch (cfg.mode) {
       case SecurityMode::NonSecureIdeal:
-        // Plain NVM write of the buffered data.
-        done = writeRetried(e.addr, e.plaintext,
-                            std::max(start, lastDrainIssue));
-        lastDrainIssue = std::max(lastDrainIssue, start);
-        break;
       case SecurityMode::PreWpqSecure:
-        // Already secured before insertion: just the NVM write.
-        done = writeRetried(e.addr, e.ciphertext,
-                            std::max(start, lastDrainIssue));
-        lastDrainIssue = std::max(lastDrainIssue, start);
+        // Just the NVM write of the buffered data (the baseline
+        // secured it before insertion). As with a Ma-SU drain, the
+        // slot frees once the data write issues to NVM: the bank
+        // queue, not the WPQ, holds the write until it completes.
+        done = std::max(start, lastDrainIssue);
+        writeRetried(e.addr,
+                     cfg.mode == SecurityMode::PreWpqSecure ? e.ciphertext
+                                                            : e.plaintext,
+                     done);
+        lastDrainIssue = done;
         break;
       default: {
         // Ma-SU: decrypt (1-cycle XOR), full backend security, then
@@ -270,15 +276,21 @@ SecureMemController::drainEntry(WpqEntry &e)
 }
 
 void
-SecureMemController::processDrainsUntil(Tick t)
+SecureMemController::processDrainsUntil(Tick t, bool force)
 {
     DOLOS_PROF_SCOPE(Controller);
-    while (!wpq.empty() && drainCursor <= wpq.back().id) {
+    // The oldest undrained entry drains once the undrained count
+    // reaches the watermark, i.e. once the entry `lag` places behind
+    // it exists; a forced pass (quiesce) drains every entry.
+    const std::uint64_t lag = force ? 0 : watermark - 1;
+    while (!wpq.empty() && drainCursor + lag <= wpq.back().id) {
         const std::size_t idx = std::size_t(drainCursor - wpq.front().id);
         WpqEntry &e = wpq[idx];
-        // A drain starts the cycle after the entry commits, once the
+        // A drain starts the cycle after both the entry and the one
+        // that brought the count to the watermark commit, once the
         // drain server (security engine / NVM issue point) frees up.
-        Tick start = e.persistTick + 1;
+        Tick start =
+            std::max(e.persistTick, wpq[idx + lag].persistTick) + 1;
         if (securityAfterWpq(cfg.mode)) {
             start = std::max(start, engine.busyUntil());
         } else {
@@ -305,6 +317,32 @@ SecureMemController::retireReleased(Tick t)
     }
 }
 
+Tick
+SecureMemController::secureBeforeWpq(Addr addr, const Block &data, Tick t,
+                                     Block &ciphertext)
+{
+    const auto res = engine.secureWrite(addr, data, t);
+    ciphertext = res.ciphertext;
+    t = res.doneTick;
+    if (!res.pageReencrypted)
+        return t;
+    // The write overflowed its page's minor counters, so the engine
+    // re-encrypted the page in NVM under a new major counter. Queued
+    // ciphertext of the page's other blocks still uses the old one:
+    // secure those writes again before they drain or dump. (A queued
+    // older write of this same block is superseded by this one.)
+    const Addr page = AddressMap::pageOf(addr);
+    for (auto &q : wpq) {
+        if (q.drained || q.addr == blockAlign(addr) ||
+            AddressMap::pageOf(q.addr) != page)
+            continue;
+        const auto again = engine.secureWrite(q.addr, q.plaintext, t);
+        q.ciphertext = again.ciphertext;
+        t = again.doneTick;
+    }
+    return t;
+}
+
 PersistTicket
 SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
 {
@@ -319,14 +357,11 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
             ++statCoalesces;
             e->plaintext = data;
             switch (cfg.mode) {
-              case SecurityMode::PreWpqSecure: {
+              case SecurityMode::PreWpqSecure:
                 // Still in front of the WPQ conceptually; the merged
                 // data re-runs the security engine.
-                const auto res = engine.secureWrite(addr, data, t);
-                e->ciphertext = res.ciphertext;
-                t = res.doneTick;
+                t = secureBeforeWpq(addr, data, t, e->ciphertext);
                 break;
-              }
               case SecurityMode::NonSecureIdeal:
               case SecurityMode::PostWpqUnprotected:
               case SecurityMode::EadrSecure:
@@ -347,17 +382,15 @@ SecureMemController::enqueueWrite(Addr addr, const Block &data, Tick now)
 
     // Mode-specific front processing before the WPQ.
     Block pre_ct{};
-    if (cfg.mode == SecurityMode::PreWpqSecure) {
-        const auto res = engine.secureWrite(addr, data, t);
-        pre_ct = res.ciphertext;
-        t = res.doneTick;
-    }
+    if (cfg.mode == SecurityMode::PreWpqSecure)
+        t = secureBeforeWpq(addr, data, t, pre_ct);
 
     // Wait for a free WPQ slot, then pay the Mi-SU critical-path
     // latency and commit. An insertion that finds the queue full is
     // one re-try event (Table 2's metric); the request then re-polls
     // every retryInterval cycles until a drain frees a slot.
     statOccupancy.sample(double(wpq.size()));
+    statUndrained.sample(double(nextId - drainCursor));
     if (wpq.size() >= capacity)
         ++statRetries;
     const Tick stall_from = t;
@@ -465,7 +498,7 @@ SecureMemController::readBlock(Addr addr, Tick now)
 void
 SecureMemController::drainTo(Tick t)
 {
-    processDrainsUntil(t);
+    processDrainsUntil(t, true);
 }
 
 std::optional<SecureMemController::RecoveryJournal>
@@ -940,6 +973,7 @@ SecureMemController::stateManifest() const
     DOLOS_MF_DELEGATED_P(m, misu_);
     DOLOS_MF_DELEGATED_P(m, redoLog);
     DOLOS_MF_CONST(m, capacity);
+    DOLOS_MF_CONST(m, watermark);
     DOLOS_MF_V(m, adrTear);
     // Armed mid-recovery faults survive until the *next* recovery
     // consumes them (they model firmware, not dynamic state).
@@ -962,6 +996,7 @@ SecureMemController::stateManifest() const
     DOLOS_MF_P(m, statStallCycles);
     DOLOS_MF_P(m, statPersistLatency);
     DOLOS_MF_P(m, statOccupancy);
+    DOLOS_MF_P(m, statUndrained);
     DOLOS_MF_P(m, statDrainLatency);
     DOLOS_MF_P(m, statPersistLatencyHist);
     DOLOS_MF_P(m, statStallHist);

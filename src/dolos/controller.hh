@@ -15,9 +15,12 @@
  * Timing uses exact timestamp simulation: the drain pipeline is
  * deterministic FIFO, so entries record their insert/persist ticks at
  * insertion and drains are processed lazily, in order, whenever
- * simulated time passes their start. A write that finds the WPQ full
- * retries every retryInterval cycles; each failed attempt is one
- * "re-try event" (paper Table 2).
+ * simulated time passes their start. A drain also waits until the
+ * undrained count reaches the drain watermark
+ * (WpqParams::drainWatermark), which leaves recent entries in the
+ * queue for later writes to coalesce into. A write that finds the
+ * WPQ full retries every retryInterval cycles; each failed attempt
+ * is one "re-try event" (paper Table 2).
  */
 
 #ifndef DOLOS_DOLOS_CONTROLLER_HH
@@ -108,7 +111,10 @@ class SecureMemController : public PersistController
     /** Boot-time recovery (dump verification, drain, Ma-SU recover). */
     ControllerRecoveryReport recover();
 
-    /** Advance background drains to @p t (idle time, test hooks). */
+    /**
+     * Quiesce: drain every entry whose start falls by @p t, below
+     * the watermark too (idle time, test hooks).
+     */
     void drainTo(Tick t);
 
     /**
@@ -190,8 +196,12 @@ class SecureMemController : public PersistController
         }
     };
 
-    /** Lazily process FIFO drains whose start time has passed. */
-    void processDrainsUntil(Tick t);
+    /**
+     * Lazily process FIFO drains whose start time has passed and
+     * whose watermark has been reached; @p force ignores the
+     * watermark (drainTo's quiesce).
+     */
+    void processDrainsUntil(Tick t, bool force = false);
 
     /** Drain one entry (mode-specific); sets drained/releaseTick. */
     void drainEntry(WpqEntry &e);
@@ -211,6 +221,15 @@ class SecureMemController : public PersistController
     void eadrHoldupFlush(Tick at, bool complete_in_flight,
                          const std::vector<DirtyLine> *lines,
                          CrashDumpReport &report);
+
+    /**
+     * The baseline's pre-WPQ security work for one write: returns
+     * when it finishes and sets @p ciphertext. If the write forces a
+     * page re-encryption, the page's other queued writes are secured
+     * again under the new counters.
+     */
+    Tick secureBeforeWpq(Addr addr, const Block &data, Tick t,
+                         Block &ciphertext);
 
     /** Common write path (persists and evictions). */
     PersistTicket enqueueWrite(Addr addr, const Block &data, Tick now);
@@ -258,6 +277,7 @@ class SecureMemController : public PersistController
     RedoLogBuffer redoLog;
 
     unsigned capacity;
+    unsigned watermark; ///< undrained count that starts a drain
     std::optional<unsigned> adrTear; ///< armed torn-ADR-drain fault
     std::optional<unsigned> recoveryCrashArm; ///< crash-mid-recovery
     std::deque<WpqEntry> wpq;
@@ -277,6 +297,7 @@ class SecureMemController : public PersistController
     stats::Scalar statStallCycles;
     stats::Average statPersistLatency;
     stats::Average statOccupancy;
+    stats::Average statUndrained;
     stats::Average statDrainLatency;
     stats::Histogram statPersistLatencyHist{100.0, 32};
     stats::Histogram statStallHist{500.0, 16};
@@ -289,6 +310,7 @@ class SecureMemController : public PersistController
     DOLOS_PERSISTENT(misu_);
     DOLOS_PERSISTENT(redoLog);
     DOLOS_PERSISTENT(capacity);
+    DOLOS_PERSISTENT(watermark);
     DOLOS_VOLATILE(adrTear);
     DOLOS_PERSISTENT(recoveryCrashArm);
     DOLOS_VOLATILE(wpq);
@@ -307,6 +329,7 @@ class SecureMemController : public PersistController
     DOLOS_PERSISTENT(statStallCycles);
     DOLOS_PERSISTENT(statPersistLatency);
     DOLOS_PERSISTENT(statOccupancy);
+    DOLOS_PERSISTENT(statUndrained);
     DOLOS_PERSISTENT(statDrainLatency);
     DOLOS_PERSISTENT(statPersistLatencyHist);
     DOLOS_PERSISTENT(statStallHist);

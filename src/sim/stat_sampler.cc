@@ -162,6 +162,16 @@ StatSampler::derivedSeries() const
             series[w] = double(stall->deltas[w]) / windowLen(w);
         out.emplace_back("wpqStallFraction", std::move(series));
     }
+    const auto *coalesces = findScalar("mc.coalesces");
+    const auto *writes = findScalar("mc.writeRequests");
+    if (coalesces && writes) {
+        std::vector<double> series(nw, 0.0);
+        for (std::size_t w = 0; w < nw; ++w)
+            if (writes->deltas[w])
+                series[w] = double(coalesces->deltas[w]) /
+                            double(writes->deltas[w]);
+        out.emplace_back("wpqCoalesceRate", std::move(series));
+    }
     return out;
 }
 

@@ -127,6 +127,8 @@ class StatSampler
      *  - drainsPerKcycle: WPQ drains per 1000 cycles
      *    (mc.drainLatency sample count / window kilocycles)
      *  - wpqStallFraction: mc.wpqStallCycles delta / window cycles
+     *  - wpqCoalesceRate: mc.coalesces delta / mc.writeRequests
+     *    delta (0 in a window without writes)
      */
     std::vector<std::pair<std::string, std::vector<double>>>
     derivedSeries() const;

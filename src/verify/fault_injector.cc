@@ -483,6 +483,16 @@ FaultInjector::injectAndProvoke(const InjectionRecord &armed,
     if (kind == FaultKind::CounterRollback)
         rec = inject(kind);
     sys.recoverToCompletion();
+    if (kind == FaultKind::BmtFlip) {
+        // Recovery re-drained the ADR dump, which left the dumped
+        // pages' tree paths in the on-chip tree cache, and the
+        // provoking load authenticates only the tree levels it reads
+        // from NVM. A second power cycle, whose dump is empty, boots
+        // with cold metadata caches, so the forged node is on the
+        // victim's walk however many entries the first dump held.
+        sys.crash();
+        sys.recoverToCompletion();
+    }
     if (region == NvmRegion::Data && kind != FaultKind::CounterRollback)
         rec = inject(kind);
     if (!rec.injected || kind == FaultKind::CounterRollback)

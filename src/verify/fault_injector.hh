@@ -121,6 +121,8 @@ class FaultInjector
      * the detector — a load of the victim (hidden from @p golden for a
      * stuck cell, which reads back as quarantined zeros), a rewrite
      * for MediaWriteFail, recovery itself for CounterRollback. A
+     * BmtFlip is injected after a second, empty-dump power cycle, so
+     * the victim's tree walk starts from cold metadata caches. A
      * media fault aimed at a metadata @p region lands before the power
      * cycle, so recovery must repair it. A TornAdrDump the run never
      * crashed into gets one power cycle. Returns what was injected.

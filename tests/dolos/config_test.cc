@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dolos/config.hh"
 #include "dolos/system.hh"
@@ -55,6 +56,54 @@ TEST(WpqParamsConfig, NoModeExceedsTheAdrBudget)
     for (const auto mode : allModes)
         EXPECT_LE(p.entriesFor(mode), p.adrBudgetEntries)
             << securityModeName(mode);
+}
+
+TEST(WpqParamsConfig, DrainWatermarkStaysWithinTheQueue)
+{
+    // Every Figure 15 size, plus every queue of 1..16 entries (the
+    // small budgets dolos-sim --wpq can build), at every percentage:
+    // 1 <= H <= entriesFor(mode), so a full queue always has an
+    // entry old enough to drain.
+    struct Sizes
+    {
+        unsigned budget, partial, post;
+    };
+    std::vector<Sizes> sizes = {
+        {16, 13, 10}, {32, 28, 20}, {64, 57, 40}, {128, 113, 80}};
+    for (unsigned n = 1; n <= 16; ++n)
+        sizes.push_back({n, n, n});
+    for (const auto &sz : sizes) {
+        for (unsigned pct = 0; pct <= 100; ++pct) {
+            WpqParams p;
+            p.adrBudgetEntries = sz.budget;
+            p.partialEntries = sz.partial;
+            p.postEntries = sz.post;
+            p.drainWatermarkPct = pct;
+            for (const auto mode : allModes) {
+                const unsigned h = p.drainWatermark(mode);
+                EXPECT_GE(h, 1u) << sz.budget << " " << pct;
+                EXPECT_LE(h, p.entriesFor(mode))
+                    << sz.budget << " " << pct;
+            }
+            EXPECT_LE(p.drainWatermark(SecurityMode::EadrSecure),
+                      p.entriesFor(SecurityMode::EadrSecure));
+        }
+    }
+}
+
+TEST(WpqParamsConfig, DrainWatermarkRoundsUp)
+{
+    WpqParams p; // 16 / 13 / 10 entries
+    p.drainWatermarkPct = 0;
+    EXPECT_EQ(p.drainWatermark(SecurityMode::DolosPartialWpq), 1u);
+    p.drainWatermarkPct = 50;
+    EXPECT_EQ(p.drainWatermark(SecurityMode::DolosFullWpq), 8u);
+    EXPECT_EQ(p.drainWatermark(SecurityMode::DolosPartialWpq), 7u);
+    EXPECT_EQ(p.drainWatermark(SecurityMode::DolosPostWpq), 5u);
+    p.drainWatermarkPct = 1;
+    EXPECT_EQ(p.drainWatermark(SecurityMode::PreWpqSecure), 1u);
+    p.drainWatermarkPct = 100;
+    EXPECT_EQ(p.drainWatermark(SecurityMode::DolosPostWpq), 10u);
 }
 
 TEST(SecurityModeConfig, NamesAreNonEmptyAndDistinct)
@@ -201,6 +250,17 @@ TEST(ConfigValidation, DegenerateTimingAndGeometryAreRejected)
     cfg = SystemConfig::paperDefault();
     cfg.secure.map.protectedBytes = 0;
     EXPECT_FALSE(validateConfig(cfg).empty());
+}
+
+TEST(ConfigValidation, WatermarkAboveOneHundredPercentIsRejected)
+{
+    auto cfg = SystemConfig::paperDefault();
+    cfg.wpq.drainWatermarkPct = 100;
+    EXPECT_EQ(validateConfig(cfg), "");
+    cfg.wpq.drainWatermarkPct = 101;
+    EXPECT_NE(validateConfig(cfg).find("drainWatermarkPct"),
+              std::string::npos)
+        << validateConfig(cfg);
 }
 
 TEST(ConfigValidation, SystemCtorThrowsInsteadOfClamping)

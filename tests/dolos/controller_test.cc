@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dolos/controller.hh"
+#include "workloads/runner.hh"
 
 namespace
 {
@@ -34,8 +37,13 @@ pattern(std::uint8_t seed)
 
 struct Rig
 {
-    explicit Rig(SecurityMode mode) : cfg(testConfig(mode))
+    /** The paper-default machine, or one draining at @p watermark_pct. */
+    explicit Rig(SecurityMode mode,
+                 std::optional<unsigned> watermark_pct = std::nullopt)
+        : cfg(testConfig(mode))
     {
+        if (watermark_pct)
+            cfg.wpq.drainWatermarkPct = *watermark_pct;
         nvm = std::make_unique<NvmDevice>(cfg.nvm);
         eng = std::make_unique<SecurityEngine>(cfg.secure, *nvm);
         mc = std::make_unique<SecureMemController>(cfg, *nvm, *eng);
@@ -148,8 +156,8 @@ TEST(Controller, ReadAfterDrainComesFromNvm)
     Rig rig(SecurityMode::DolosPartialWpq);
     const Block pt = pattern(6);
     rig.mc->persistBlock(0x2000, pt, 0);
-    // Long after the drain completes, the read misses the WPQ and
-    // decrypts from NVM.
+    // After a quiesce the read misses the WPQ and decrypts from NVM.
+    rig.mc->drainTo(1'000'000);
     const auto rd = rig.mc->readBlock(0x2000, 1'000'000);
     EXPECT_EQ(rd.data, pt);
     EXPECT_EQ(rig.mc->wpqReadHits(), 0u);
@@ -207,8 +215,179 @@ TEST(Controller, CrashLongAfterQuiesceDumpsNothing)
 {
     Rig rig(SecurityMode::DolosPartialWpq);
     rig.mc->persistBlock(0x1000, pattern(1), 0);
+    rig.mc->drainTo(10'000'000);
     const auto dump = rig.mc->crash(10'000'000);
     EXPECT_EQ(dump.entriesDumped, 0u);
+}
+
+TEST(Controller, LoneWriteBelowWatermarkStaysUntilCrashThenRecovers)
+{
+    // Time alone never drains an entry below the watermark: it
+    // stays readable from the WPQ, the ADR dump carries it, and
+    // recovery restores it.
+    Rig rig(SecurityMode::DolosPartialWpq, 50);
+    const Block pt = pattern(7);
+    rig.mc->persistBlock(0x2000, pt, 0);
+    EXPECT_EQ(rig.mc->readBlock(0x2000, 10'000'000).data, pt);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 1u);
+
+    const auto dump = rig.mc->crash(10'000'000);
+    EXPECT_EQ(dump.entriesDumped, 1u);
+    EXPECT_TRUE(dump.withinAdrBudget);
+    const auto rec = rig.mc->recover();
+    EXPECT_TRUE(rec.misuVerified);
+    EXPECT_EQ(rec.entriesRecovered, 1u);
+    EXPECT_EQ(rig.mc->readBlock(0x2000, 20'000'000).data, pt);
+    EXPECT_FALSE(rig.eng->attackDetected());
+}
+
+TEST(Controller, DrainStartsWhenUndrainedCountReachesWatermark)
+{
+    // Partial at 50%: H = ceil(13 / 2) = 7. Six spaced writes all
+    // wait in the queue; the seventh starts the oldest one's drain.
+    Rig rig(SecurityMode::DolosPartialWpq, 50);
+    Tick t = 0;
+    for (int i = 0; i < 6; ++i) {
+        rig.mc->persistBlock(Addr(i) * 64, pattern(1), t);
+        t += 100'000;
+    }
+    rig.mc->readBlock(0, t);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 1u); // entry 0 still waits
+
+    rig.mc->persistBlock(Addr(6) * 64, pattern(1), t);
+    t += 100'000;
+    rig.mc->readBlock(0, t);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 1u); // entry 0 drained
+    rig.mc->readBlock(64, t);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 2u); // entry 1 still waits
+}
+
+TEST(Controller, DrainWaitsForTheWatermarkEntryToCommit)
+{
+    // Baseline at 10%: H = ceil(1.6) = 2, and a drained entry leaves
+    // the queue when its NVM write issues. The second write reaches
+    // the watermark, but the first entry's drain cannot start before
+    // that write has committed (secured and inserted).
+    Rig rig(SecurityMode::PreWpqSecure, 10);
+    rig.mc->persistBlock(0x0, pattern(1), 0);
+    const auto second = rig.mc->persistBlock(0x40, pattern(2), 100'000);
+    ASSERT_GT(second.persistTick, 101'000u);
+    rig.mc->readBlock(0x0, 101'000);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 1u); // not drained yet
+    rig.mc->readBlock(0x0, second.persistTick + 10);
+    EXPECT_EQ(rig.mc->wpqReadHits(), 1u); // drained and released
+}
+
+TEST(Controller, BaselinePageReencryptionResecuresQueuedWrites)
+{
+    // The baseline queues ciphertext. Block 0x40 waits below the
+    // watermark while 128 writes to block 0x0 of the same page
+    // overflow its minor counter and re-encrypt the page: the queued
+    // 0x40 write must drain, or dump, under the new counters.
+    for (const bool crash : {false, true}) {
+        Rig rig(SecurityMode::PreWpqSecure, 100);
+        const Block b = pattern(40);
+        Tick t = rig.mc->persistBlock(0x40, b, 0).persistTick;
+        for (int i = 0; i < int(minorCounterLimit); ++i)
+            t = rig.mc->persistBlock(0x0, pattern(std::uint8_t(i)), t)
+                    .persistTick;
+        if (crash) {
+            rig.mc->crash(t);
+            rig.mc->recover();
+        } else {
+            rig.mc->drainTo(t + 1'000'000);
+        }
+        const Tick rt = t + 2'000'000;
+        EXPECT_EQ(rig.mc->readBlock(0x40, rt).data, b) << crash;
+        EXPECT_EQ(rig.mc->readBlock(0x0, rt).data,
+                  pattern(std::uint8_t(minorCounterLimit - 1)))
+            << crash;
+        EXPECT_EQ(rig.mc->wpqReadHits(), 0u) << crash;
+        EXPECT_FALSE(rig.eng->attackDetected()) << crash;
+    }
+}
+
+TEST(Controller, WatermarkDrainsDoNotDependOnPollFrequency)
+{
+    // The same writes, once with dense reads of unrelated blocks in
+    // between (each read runs the drain loop) and once without: the
+    // persist ticks and the engine's work must match exactly.
+    auto drive = [](bool poll) {
+        Rig rig(SecurityMode::DolosPartialWpq, 50);
+        std::vector<Tick> ticks;
+        Tick t = 0;
+        for (int i = 0; i < 40; ++i) {
+            // Block 0 every third write (it coalesces while waiting),
+            // fresh blocks otherwise (they fill the queue and drain).
+            const Addr a = i % 3 == 0 ? 0 : Addr(i) * 64;
+            const auto tk =
+                rig.mc->persistBlock(a, pattern(std::uint8_t(i)), t);
+            ticks.push_back(tk.persistTick);
+            const Tick next = tk.persistTick + 700;
+            if (poll)
+                for (Tick p = t; p < next; p += 250)
+                    rig.mc->pendingPersistTick(0x80000, p);
+            t = next;
+        }
+        ticks.push_back(rig.mc->coalesces());
+        ticks.push_back(rig.mc->crash(t).entriesDumped);
+        return ticks;
+    };
+    const auto sparse = drive(false);
+    EXPECT_GT(sparse[sparse.size() - 2], 0u) << "no write coalesced";
+    EXPECT_GT(sparse.back(), 0u) << "nothing waiting at the crash";
+    EXPECT_EQ(sparse, drive(true));
+}
+
+TEST(Controller, EagerWatermarkReproducesRecordedCyclesPerTx)
+{
+    // p = 0 is the eager queue: run cycles of dolos-sim --txns 40
+    // --keys 64 --seed 42 (default think time, 16-entry budget) as
+    // recorded before the watermark existed. The modes whose drains
+    // run the security engine reproduce them exactly. The ideal and
+    // baseline queues now free a slot when its NVM write issues, not
+    // when it completes, so they run faster than recorded; their
+    // expected values are pinned from this model.
+    struct Recorded
+    {
+        const char *workload;
+        SecurityMode mode;
+        std::uint64_t beforeWatermark;
+        std::uint64_t expected;
+    };
+    const Recorded recorded[] = {
+        {"hashmap", SecurityMode::NonSecureIdeal, 3226336, 2731370},
+        {"hashmap", SecurityMode::PreWpqSecure, 5753958, 4488400},
+        {"hashmap", SecurityMode::PostWpqUnprotected, 3701330, 3701330},
+        {"hashmap", SecurityMode::DolosFullWpq, 4353104, 4353104},
+        {"hashmap", SecurityMode::DolosPartialWpq, 4279075, 4279075},
+        {"hashmap", SecurityMode::DolosPostWpq, 4281397, 4281397},
+        {"hashmap", SecurityMode::EadrSecure, 2723982, 2723982},
+        {"btree", SecurityMode::NonSecureIdeal, 2875298, 2151350},
+        {"btree", SecurityMode::PreWpqSecure, 6296938, 6050902},
+        {"btree", SecurityMode::PostWpqUnprotected, 3487354, 3487354},
+        {"btree", SecurityMode::DolosFullWpq, 5995628, 5995628},
+        {"btree", SecurityMode::DolosPartialWpq, 5967410, 5967410},
+        {"btree", SecurityMode::DolosPostWpq, 5969466, 5969466},
+        {"btree", SecurityMode::EadrSecure, 2141858, 2141858},
+    };
+    for (const auto &r : recorded) {
+        auto cfg = SystemConfig::paperDefault();
+        cfg.mode = r.mode;
+        cfg.wpq.drainWatermarkPct = 0;
+        System sys(cfg);
+        workloads::WorkloadParams params;
+        params.txSize = 1024;
+        params.numKeys = 64;
+        params.seed = 42;
+        params.thinkTime = 60000;
+        auto wl = workloads::makeWorkload(r.workload, params);
+        const auto res = workloads::runWorkload(sys, *wl, 40);
+        EXPECT_TRUE(res.verified) << res.verifyDiagnostic;
+        EXPECT_EQ(res.runCycles, r.expected)
+            << r.workload << " " << securityModeName(r.mode);
+        EXPECT_LE(r.expected, r.beforeWatermark);
+    }
 }
 
 TEST(Controller, RecoveryRestoresUndrainedWrites)

@@ -103,11 +103,34 @@ TEST(StatTimeline, WindowDeltasReconcileWithFinalStats)
 
     // The derived persist-path series exist and are window-aligned.
     const auto derived = sampler.derivedSeries();
-    ASSERT_EQ(derived.size(), 2u);
+    ASSERT_EQ(derived.size(), 3u);
     EXPECT_EQ(derived[0].first, "drainsPerKcycle");
     EXPECT_EQ(derived[1].first, "wpqStallFraction");
+    EXPECT_EQ(derived[2].first, "wpqCoalesceRate");
     for (const auto &[name, series] : derived)
         EXPECT_EQ(series.size(), sampler.windowCount()) << name;
+
+    // The coalesce rate weighted by each window's writes gives back
+    // the run's coalesce count.
+    const stats::StatSampler::ScalarColumn *writes = nullptr;
+    const stats::StatSampler::ScalarColumn *coalesces = nullptr;
+    for (const auto &col : sampler.scalarColumns()) {
+        if (col.path == "mc.writeRequests")
+            writes = &col;
+        if (col.path == "mc.coalesces")
+            coalesces = &col;
+    }
+    ASSERT_NE(writes, nullptr);
+    ASSERT_NE(coalesces, nullptr);
+    ASSERT_GT(coalesces->stat->value(), 0u) << "no coalesce to check";
+    double rebuilt = 0;
+    for (std::size_t w = 0; w < sampler.windowCount(); ++w) {
+        const double rate = derived[2].second[w];
+        EXPECT_GE(rate, 0.0);
+        EXPECT_LE(rate, 1.0);
+        rebuilt += rate * double(writes->deltas[w]);
+    }
+    EXPECT_NEAR(rebuilt, double(coalesces->stat->value()), 1e-6);
 }
 
 TEST(StatTimeline, SamplingDoesNotPerturbTheSimulation)

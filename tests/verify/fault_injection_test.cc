@@ -21,6 +21,7 @@
 #include "secure/address_map.hh"
 #include "tests/integration/integration_common.hh"
 #include "verify/fault_injector.hh"
+#include "workloads/runner.hh"
 
 namespace
 {
@@ -107,6 +108,35 @@ INSTANTIATE_TEST_SUITE_P(
                 n.push_back(c);
         return n;
     });
+
+TEST(AttackDetection, BmtFlipAfterAWorkloadIsCaughtAtEverySeed)
+{
+    // The dolos-sim --inject-fault bmt-flip episode: a workload run
+    // leaves entries in the WPQ for the ADR dump, and recovery's
+    // re-drain of them warms the on-chip tree cache. The forged node
+    // must still be on the provoking load's walk, at every seed.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        auto cfg = SystemConfig::paperDefault();
+        cfg.mode = SecurityMode::DolosPartialWpq;
+        System sys(cfg);
+        FaultInjector inj(sys, seed);
+        const auto armed = inj.armBeforeRun(FaultKind::BmtFlip);
+        workloads::WorkloadParams params;
+        params.txSize = 1024;
+        params.numKeys = 64;
+        params.seed = seed;
+        params.thinkTime = 60000;
+        auto wl = workloads::makeWorkload("hashmap", params);
+        const auto res = workloads::runWorkload(sys, *wl, 40);
+        ASSERT_TRUE(res.verified) << res.verifyDiagnostic;
+        ASSERT_FALSE(sys.attackDetected());
+
+        const auto rec = inj.injectAndProvoke(armed, res.crashed);
+        ASSERT_TRUE(rec.injected) << rec.detail;
+        EXPECT_TRUE(sys.attackDetected())
+            << "seed " << seed << ": " << rec.detail;
+    }
+}
 
 TEST(AttackDetectionControl, NonSecureIdealCorruptsSilently)
 {

@@ -118,6 +118,16 @@ class Args
         return T(*v);
     }
 
+    /** A whole percentage, 0..100. */
+    unsigned
+    percent()
+    {
+        const unsigned p = number<unsigned>();
+        if (p > 100)
+            fail("%s takes 0..100, not %u", current.c_str(), p);
+        return p;
+    }
+
     /** --jobs N: worker threads, at least one. */
     unsigned
     jobs()

@@ -47,6 +47,7 @@ struct Options
     std::uint64_t seed = 42;
     Cycles thinkTime = 60000;
     unsigned wpqBudget = 16;
+    std::optional<unsigned> wpqWatermark; ///< --wpq-watermark percent
     TreeUpdatePolicy tree = TreeUpdatePolicy::EagerMerkle;
     CrashScheme crashScheme = CrashScheme::Anubis;
     std::optional<std::uint64_t> crashAt;
@@ -86,6 +87,8 @@ usage(int code)
         "  --keys N            key-space size (default 1024)\n"
         "  --think CYCLES      modeled compute per tx (default 60000)\n"
         "  --wpq N             ADR budget entries (default 16)\n"
+        "  --wpq-watermark P   drain the WPQ once P%% of its entries\n"
+        "                      are undrained (0..100; 0 = eager)\n"
         "  --tree eager|lazy   integrity-tree scheme (default eager)\n"
         "  --crash-scheme anubis|osiris\n"
         "  --crash-at OP       inject a power failure at env op OP\n"
@@ -175,6 +178,8 @@ parse(int argc, char **argv)
             o.thinkTime = args.number();
         else if (args.is("--wpq"))
             o.wpqBudget = args.number<unsigned>();
+        else if (args.is("--wpq-watermark"))
+            o.wpqWatermark = args.percent();
         else if (args.is("--tree"))
             o.tree = TreeUpdatePolicy(args.choice({"eager", "lazy"}));
         else if (args.is("--crash-scheme"))
@@ -324,6 +329,8 @@ main(int argc, char **argv)
     cfg.wpq.postEntries =
         o.wpqBudget > 6 ? o.wpqBudget * 8 / 9 - 4 : o.wpqBudget / 2;
     cfg.wpq.coalescing = !o.noCoalescing;
+    if (o.wpqWatermark)
+        cfg.wpq.drainWatermarkPct = *o.wpqWatermark;
     cfg.secure.bmtPipeline = o.bmtPipeline;
     cfg.secure.scrubIntervalWrites = o.scrubInterval;
     if (o.spares)

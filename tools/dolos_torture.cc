@@ -136,6 +136,9 @@ usage(int code)
         "point\n"
         "  --opt-knobs   Ma-SU engine for every episode: "
         "all (pipelined, default) | none (serial)\n"
+        "  --wpq-watermark P  drain the WPQ once P%% of its entries "
+        "are undrained\n"
+        "                (0..100; 0 = eager; default: the machine's)\n"
         "  --heartbeat N emit an NDJSON progress record to stderr "
         "every N cases\n"
         "                (campaign and sweep; default 5, 0 = off)\n"
@@ -164,6 +167,10 @@ usage(int code)
 DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
 bool gBmtPipeline = true;
 
+/** WPQ drain watermark override (--wpq-watermark), in percent. */
+DOLOS_THREAD_LOCAL_OK; // parsed in main() before any worker starts
+std::optional<unsigned> gWpqWatermark;
+
 /**
  * eADR holdup energy budget override (--eadr-budget). Validated
  * nonzero at parse time; the config validator would reject 0 anyway,
@@ -179,6 +186,8 @@ tortureConfig(SecurityMode mode)
     if (gEadrBudget)
         cfg.eadr.energyBudgetCycles = *gEadrBudget;
     cfg.secure.bmtPipeline = gBmtPipeline;
+    if (gWpqWatermark)
+        cfg.wpq.drainWatermarkPct = *gWpqWatermark;
     return cfg;
 }
 
@@ -516,6 +525,8 @@ machineArgs()
     std::string args;
     if (gEadrBudget)
         args = " --eadr-budget " + std::to_string(*gEadrBudget);
+    if (gWpqWatermark)
+        args += " --wpq-watermark " + std::to_string(*gWpqWatermark);
     return args + " --opt-knobs " + bmtPipelineSpec(gBmtPipeline);
 }
 
@@ -625,6 +636,8 @@ main(int argc, char **argv)
             summaryJson = args.value();
         } else if (args.is("--opt-knobs")) {
             gBmtPipeline = args.bmtPipeline();
+        } else if (args.is("--wpq-watermark")) {
+            gWpqWatermark = args.percent();
         } else if (args.is("--help") || args.is("-h")) {
             usage(ExitOk);
         } else {
