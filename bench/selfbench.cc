@@ -11,9 +11,10 @@
  * of a fixed calibration kernel timed in the same process, so a
  * slower or busier host moves both and the ratio stays put. The
  * kernel is not simulator code, so a simulator speed-up (crypto,
- * event queue) cannot cancel itself out. The attribution shares are
- * recorded for the report but never gated (dolos_report treats them
- * as neutral).
+ * event queue) cannot cancel itself out. The attribution shares and
+ * each component's host nanoseconds per profiled call are recorded
+ * for the report but never gated (dolos_report treats them as
+ * neutral).
  */
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "bench/common.hh"
@@ -120,8 +122,11 @@ main(int argc, char **argv)
     // Absolute rates depend on the host: printed above, not gated.
     BenchReport report("selfbench", opts);
     report.add(r.workload + ".eventsPerSecRelative", relative);
-    for (const auto &c : r.components)
-        report.add(r.workload + ".prof." + c.name + ".share", c.share);
+    for (const auto &c : r.components) {
+        const std::string key = r.workload + ".prof." + c.name;
+        report.add(key + ".share", c.share);
+        report.add(key + ".nsPerCall", c.seconds * 1e9 / double(c.calls));
+    }
     report.write();
     return 0;
 }

@@ -5,8 +5,8 @@
 
 #include "crypto/siphash.hh"
 
+#include <bit>
 #include <cstring>
-#include <vector>
 
 #include "sim/profiler.hh"
 
@@ -18,38 +18,120 @@ namespace
 
 using u64 = std::uint64_t;
 
-u64
-rotl(u64 x, int b)
-{
-    return (x << b) | (x >> (64 - b));
-}
-
+/** Little-endian 64-bit load from any alignment. */
 u64
 loadLe64(const std::uint8_t *p)
 {
     u64 v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
     return v;
 }
 
-void
-sipround(u64 &v0, u64 &v1, u64 &v2, u64 &v3)
+/** The four-word SipHash-2-4 state, shared by every entry point. */
+class SipState
 {
-    v0 += v1;
-    v1 = rotl(v1, 13);
-    v1 ^= v0;
-    v0 = rotl(v0, 32);
-    v2 += v3;
-    v3 = rotl(v3, 16);
-    v3 ^= v2;
-    v0 += v3;
-    v3 = rotl(v3, 21);
-    v3 ^= v0;
-    v2 += v1;
-    v1 = rotl(v1, 17);
-    v1 ^= v2;
-    v2 = rotl(v2, 32);
+  public:
+    explicit SipState(const SipKey &key)
+    {
+        const u64 k0 = loadLe64(key.data());
+        const u64 k1 = loadLe64(key.data() + 8);
+        v0 = k0 ^ 0x736f6d6570736575ULL;
+        v1 = k1 ^ 0x646f72616e646f6dULL;
+        v2 = k0 ^ 0x6c7967656e657261ULL;
+        v3 = k1 ^ 0x7465646279746573ULL;
+    }
+
+    /** Absorb one message word (two compression rounds). */
+    void
+    compress(u64 m)
+    {
+        v3 ^= m;
+        round();
+        round();
+        v0 ^= m;
+    }
+
+    /**
+     * Absorb the final word — the message's last len % 8 bytes with
+     * the length's low byte on top — and return the tag.
+     */
+    u64
+    finish(u64 last)
+    {
+        compress(last);
+        v2 ^= 0xFF;
+        round();
+        round();
+        round();
+        round();
+        return v0 ^ v1 ^ v2 ^ v3;
+    }
+
+  private:
+    void
+    round()
+    {
+        v0 += v1;
+        v1 = std::rotl(v1, 13);
+        v1 ^= v0;
+        v0 = std::rotl(v0, 32);
+        v2 += v3;
+        v3 = std::rotl(v3, 16);
+        v3 ^= v2;
+        v0 += v3;
+        v3 = std::rotl(v3, 21);
+        v3 ^= v0;
+        v2 += v1;
+        v1 = std::rotl(v1, 17);
+        v1 ^= v2;
+        v2 = std::rotl(v2, 32);
+    }
+
+    u64 v0, v1, v2, v3;
+};
+
+/**
+ * SipHash-2-4 over the concatenation of @p parts, streamed through
+ * one state: whole words load straight from each segment; bytes that
+ * straddle a segment boundary collect in `pending` (`have` of them,
+ * always < 8). Every entry point below is this one core.
+ */
+u64
+sipHashParts(const SipKey &key, std::initializer_list<MacSegment> parts)
+{
+    SipState s(key);
+    u64 pending = 0;
+    unsigned have = 0;
+    std::size_t total = 0;
+    for (const auto &[ptr, size] : parts) {
+        const auto *p = static_cast<const std::uint8_t *>(ptr);
+        std::size_t len = size;
+        total += len;
+        for (; have != 0 && len != 0; --len) {
+            pending |= u64(*p++) << (8 * have);
+            if (++have == 8) {
+                s.compress(pending);
+                pending = 0;
+                have = 0;
+            }
+        }
+        for (; len >= 8; len -= 8, p += 8)
+            s.compress(loadLe64(p));
+        for (; len != 0; --len)
+            pending |= u64(*p++) << (8 * have++);
+    }
+    return s.finish(pending | u64(total & 0xFF) << 56);
+}
+
+MacTag
+tagBytes(u64 v)
+{
+    MacTag t{};
+    for (int i = 0; i < 8; ++i)
+        t[i] = std::uint8_t(v >> (8 * i));
+    return t;
 }
 
 } // namespace
@@ -57,78 +139,21 @@ sipround(u64 &v0, u64 &v1, u64 &v2, u64 &v3)
 std::uint64_t
 siphash24(const SipKey &key, const void *data, std::size_t len)
 {
-    const u64 k0 = loadLe64(key.data());
-    const u64 k1 = loadLe64(key.data() + 8);
-
-    u64 v0 = k0 ^ 0x736f6d6570736575ULL;
-    u64 v1 = k1 ^ 0x646f72616e646f6dULL;
-    u64 v2 = k0 ^ 0x6c7967656e657261ULL;
-    u64 v3 = k1 ^ 0x7465646279746573ULL;
-
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    const std::size_t full = len & ~std::size_t(7);
-    for (std::size_t i = 0; i < full; i += 8) {
-        const u64 m = loadLe64(p + i);
-        v3 ^= m;
-        sipround(v0, v1, v2, v3);
-        sipround(v0, v1, v2, v3);
-        v0 ^= m;
-    }
-
-    u64 last = u64(len & 0xFF) << 56;
-    for (std::size_t i = full; i < len; ++i)
-        last |= u64(p[i]) << (8 * (i - full));
-    v3 ^= last;
-    sipround(v0, v1, v2, v3);
-    sipround(v0, v1, v2, v3);
-    v0 ^= last;
-
-    v2 ^= 0xFF;
-    sipround(v0, v1, v2, v3);
-    sipround(v0, v1, v2, v3);
-    sipround(v0, v1, v2, v3);
-    sipround(v0, v1, v2, v3);
-    return v0 ^ v1 ^ v2 ^ v3;
+    return sipHashParts(key, {{data, len}});
 }
 
 MacTag
 SipHashMac::compute(const void *data, std::size_t len) const
 {
     DOLOS_PROF_SCOPE(Mac);
-    const std::uint64_t v = siphash24(key, data, len);
-    MacTag t;
-    for (int i = 0; i < 8; ++i)
-        t[i] = std::uint8_t(v >> (8 * i));
-    return t;
+    return tagBytes(sipHashParts(key, {{data, len}}));
 }
 
 MacTag
 SipHashMac::computeParts(std::initializer_list<MacSegment> parts) const
 {
     DOLOS_PROF_SCOPE(Mac);
-    // Total sizes here are tiny (address + counter + one cacheline),
-    // so a stack buffer normally suffices.
-    std::size_t total = 0;
-    for (const auto &[ptr, len] : parts)
-        total += len;
-
-    std::uint8_t buf[256];
-    if (total <= sizeof(buf)) {
-        std::size_t off = 0;
-        for (const auto &[ptr, len] : parts) {
-            std::memcpy(buf + off, ptr, len);
-            off += len;
-        }
-        return compute(buf, total);
-    }
-
-    std::vector<std::uint8_t> big;
-    big.reserve(total);
-    for (const auto &[ptr, len] : parts) {
-        const auto *p = static_cast<const std::uint8_t *>(ptr);
-        big.insert(big.end(), p, p + len);
-    }
-    return compute(big.data(), big.size());
+    return tagBytes(sipHashParts(key, parts));
 }
 
 bool

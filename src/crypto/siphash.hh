@@ -49,8 +49,8 @@ class SipHashMac
 
     /**
      * Compute a tag over the concatenation of several segments
-     * (address, counter, ciphertext, ...), without the caller having
-     * to materialize the concatenation.
+     * (address, counter, ciphertext, ...). The segments stream
+     * through one SipHash state; nothing copies the concatenation.
      */
     MacTag computeParts(std::initializer_list<MacSegment> parts) const;
 

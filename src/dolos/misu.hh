@@ -24,6 +24,7 @@
 #ifndef DOLOS_DOLOS_MISU_HH
 #define DOLOS_DOLOS_MISU_HH
 
+#include <array>
 #include <vector>
 
 #include "crypto/ctr_pad.hh"
@@ -155,9 +156,7 @@ class MiSu
     /** Slot counter used for pad generation and entry MACs. */
     std::uint64_t slotCounter(unsigned slot) const { return pcr + slot; }
 
-    /** 80-byte pad for (slot, current epoch). */
-    std::vector<std::uint8_t> makePad(unsigned slot) const;
-
+    /** Fill every slot's 80-byte pad for the current epoch. */
     void regeneratePads();
 
     crypto::MacTag entryMac(unsigned slot,
@@ -170,7 +169,7 @@ class MiSu
     const crypto::SipHashMac &macEngine;
 
     std::uint64_t pcr = 1; ///< on-chip persistent counter register
-    std::vector<std::vector<std::uint8_t>> pads; ///< per-slot, 80B
+    std::vector<std::array<std::uint8_t, 80>> pads; ///< per-slot
     std::vector<crypto::MacTag> entryMacs;       ///< per-slot registers
     std::vector<bool> slotLive;                  ///< cleared bits
     crypto::MacTag rootRegister{};               ///< Full design only

@@ -509,14 +509,11 @@ SecurityEngine::reencryptPage(Addr page_idx, const CounterPage &old_page,
             continue; // never written: nothing to re-encrypt
         const ReadResult r = nvm_.read(addr, start);
         Block data = r.data;
-        const auto old_pad =
-            padGen.generate(ivFor(addr, old_page.counterOf(idx)),
-                            blockSize);
-        crypto::xorInto(data.data(), old_pad.data(), blockSize);
-        const auto new_pad =
-            padGen.generate(ivFor(addr, new_page.counterOf(idx)),
-                            blockSize);
-        crypto::xorInto(data.data(), new_pad.data(), blockSize);
+        Block pad{};
+        padGen.generate(ivFor(addr, old_page.counterOf(idx)), pad);
+        crypto::xorInto(data.data(), pad.data(), blockSize);
+        padGen.generate(ivFor(addr, new_page.counterOf(idx)), pad);
+        crypto::xorInto(data.data(), pad.data(), blockSize);
         const Tick w =
             nvm_.write(addr, data, r.completeTick + params.aesLatency);
         storeDataMac(addr, dataMac(addr, data, new_page.counterOf(idx)));
@@ -642,8 +639,8 @@ SecurityEngine::secureWrite(Addr addr, const Block &plaintext,
     t += params.aesLatency;
     statAesCycles += params.aesLatency;
     DOLOS_TRACE(trace::Stage::MasuAes, crypto_start, t, addr, 0);
-    const auto pad = padGen.generate(ivFor(addr, bump.newCounter),
-                                     blockSize);
+    Block pad{};
+    padGen.generate(ivFor(addr, bump.newCounter), pad);
     res.ciphertext = plaintext;
     crypto::xorInto(res.ciphertext.data(), pad.data(), blockSize);
     res.counter = bump.newCounter;
@@ -831,7 +828,8 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     }
 
     Block plaintext = data.data;
-    const auto pad = padGen.generate(ivFor(addr, counter), blockSize);
+    Block pad{};
+    padGen.generate(ivFor(addr, counter), pad);
     crypto::xorInto(plaintext.data(), pad.data(), blockSize);
 
     statReadLatency.sample(double(t - arrival));
@@ -871,7 +869,8 @@ SecurityEngine::reissueCiphertext(Addr addr, const Block &plaintext)
 {
     const std::uint64_t counter = counters.counterOf(addr);
     Block ct = plaintext;
-    const auto pad = padGen.generate(ivFor(addr, counter), blockSize);
+    Block pad{};
+    padGen.generate(ivFor(addr, counter), pad);
     crypto::xorInto(ct.data(), pad.data(), blockSize);
     nvm_.writeFunctional(addr, ct);
     storeDataMac(addr, dataMac(addr, ct, counter));
@@ -899,8 +898,8 @@ SecurityEngine::recoverCountersOsiris(SecureRecoveryResult &res)
         for (unsigned k = 0; k < params.osirisStopLoss; ++k) {
             const std::uint64_t candidate = c0 + k;
             Block pt = ct;
-            const auto pad =
-                padGen.generate(ivFor(addr, candidate), blockSize);
+            Block pad{};
+            padGen.generate(ivFor(addr, candidate), pad);
             crypto::xorInto(pt.data(), pad.data(), blockSize);
             if (OsirisEcc::check(pt, stored)) {
                 if (k != 0) {

@@ -122,9 +122,11 @@ formatSelfbench(const SelfbenchResult &r, std::ostream &os)
     os << "  host-time attribution (exclusive):\n";
     for (const auto &c : r.components) {
         std::snprintf(line, sizeof(line),
-                      "    %-16s %9.6f s  %5.1f%%  %llu calls\n",
+                      "    %-16s %9.6f s  %5.1f%%  %llu calls  "
+                      "%.0f ns/call\n",
                       c.name.c_str(), c.seconds, c.share * 100,
-                      (unsigned long long)c.calls);
+                      (unsigned long long)c.calls,
+                      c.seconds * 1e9 / double(c.calls));
         os << line;
     }
 }

@@ -1,11 +1,20 @@
 /**
  * @file
  * AES-128 known-answer and property tests.
+ *
+ * The FIPS-197 vectors and the cross-check run each kernel directly
+ * (the portable T-table kernel always, the AES-NI kernel wherever the
+ * CPU has the instructions), as well as the Aes128 class that picks
+ * one of them.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/aes128.hh"
+#include "crypto/aes_impl.hh"
 #include "sim/random.hh"
 
 namespace
@@ -14,6 +23,7 @@ namespace
 using dolos::crypto::Aes128;
 using dolos::crypto::AesBlock;
 using dolos::crypto::AesKey;
+namespace detail = dolos::crypto::detail;
 
 AesKey
 keyFromBytes(std::initializer_list<int> bytes)
@@ -23,6 +33,31 @@ keyFromBytes(std::initializer_list<int> bytes)
     for (int b : bytes)
         k[i++] = std::uint8_t(b);
     return k;
+}
+
+/** One block through @p kernel under @p key. */
+AesBlock
+encryptWith(detail::AesBlocksFn kernel, const AesKey &key,
+            const AesBlock &pt)
+{
+    const Aes128::RoundKeys rk = detail::expandKey(key);
+    AesBlock ct{};
+    kernel(rk.data(), pt.data(), ct.data(), 1);
+    return ct;
+}
+
+/** The class, the portable kernel and (if present) AES-NI agree on
+ *  the known answer. */
+void
+expectKnownAnswer(const AesKey &key, const AesBlock &pt,
+                  const AesBlock &expected)
+{
+    EXPECT_EQ(Aes128(key).encryptBlock(pt), expected);
+    EXPECT_EQ(encryptWith(detail::encryptBlocksPortable, key, pt),
+              expected);
+    if (!detail::aesniSupported())
+        GTEST_SKIP() << "CPU lacks AES-NI; only the portable kernel ran";
+    EXPECT_EQ(encryptWith(detail::encryptBlocksAesni, key, pt), expected);
 }
 
 // FIPS-197 Appendix C.1 known-answer test.
@@ -37,8 +72,7 @@ TEST(Aes128, Fips197KnownAnswer)
     const AesBlock expected = {0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b,
                                0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
                                0x70, 0xb4, 0xc5, 0x5a};
-    Aes128 aes(key);
-    EXPECT_EQ(aes.encryptBlock(pt), expected);
+    expectKnownAnswer(key, pt, expected);
 }
 
 // FIPS-197 Appendix B example: key 2b7e1516..., input 3243f6a8...
@@ -52,23 +86,59 @@ TEST(Aes128, Fips197AppendixB)
     const AesBlock expected = {0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc,
                                0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97,
                                0x19, 0x6a, 0x0b, 0x32};
-    Aes128 aes(key);
-    EXPECT_EQ(aes.encryptBlock(pt), expected);
+    expectKnownAnswer(key, pt, expected);
 }
 
-TEST(Aes128, DecryptInvertsEncrypt)
+// 10,000 seeded blocks, in runs of 1..9 blocks (the 4-way interleaved
+// AES-NI lanes plus every tail length): a multi-block call equals
+// block-by-block encryption, and the AES-NI kernel equals the
+// portable one.
+TEST(Aes128, KernelsAgreeOnSeededBlocks)
 {
-    dolos::Random rng(123);
-    for (int trial = 0; trial < 50; ++trial) {
-        AesKey key;
-        AesBlock pt;
+    constexpr std::size_t totalBlocks = 10000;
+    dolos::Random rng(0xA35);
+    std::vector<std::uint8_t> in, viaClass, portable, aesni;
+    std::size_t done = 0;
+    bool sawAesni = false;
+    while (done < totalBlocks) {
+        AesKey key{};
         for (auto &b : key)
             b = std::uint8_t(rng.next());
-        for (auto &b : pt)
+        const Aes128 aes(key);
+        const Aes128::RoundKeys rk = detail::expandKey(key);
+        const std::size_t n =
+            std::min<std::size_t>(1 + rng.next() % 9, totalBlocks - done);
+        in.resize(16 * n);
+        for (auto &b : in)
             b = std::uint8_t(rng.next());
-        Aes128 aes(key);
-        EXPECT_EQ(aes.decryptBlock(aes.encryptBlock(pt)), pt);
+
+        viaClass.assign(in.size(), 0);
+        aes.encryptBlocks(in.data(), viaClass.data(), n);
+        portable.assign(in.size(), 0);
+        detail::encryptBlocksPortable(rk.data(), in.data(),
+                                      portable.data(), n);
+        for (std::size_t blk = 0; blk < n; ++blk) {
+            AesBlock pt{};
+            std::copy_n(in.begin() + 16 * blk, 16, pt.begin());
+            const AesBlock one = aes.encryptBlock(pt);
+            ASSERT_TRUE(std::equal(one.begin(), one.end(),
+                                   viaClass.begin() + 16 * blk))
+                << "block " << done + blk << " of a " << n
+                << "-block call";
+        }
+        ASSERT_EQ(portable, viaClass) << "at block " << done;
+
+        if (detail::aesniSupported()) {
+            sawAesni = true;
+            aesni = in; // in place, as the pad generator runs it
+            detail::encryptBlocksAesni(rk.data(), aesni.data(),
+                                       aesni.data(), n);
+            ASSERT_EQ(aesni, portable) << "at block " << done;
+        }
+        done += n;
     }
+    if (!sawAesni)
+        GTEST_SKIP() << "CPU lacks AES-NI; only the portable kernel ran";
 }
 
 TEST(Aes128, DifferentKeysProduceDifferentCiphertext)
