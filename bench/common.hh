@@ -210,33 +210,55 @@ presetFor(const std::string &workload, const BenchOptions &opts,
     return p;
 }
 
-/** Run one workload on one mode; optionally verify. */
-inline workloads::RunResult
-runOne(const std::string &workload, SecurityMode mode,
-       const BenchOptions &opts, unsigned tx_size = 1024,
-       TreeUpdatePolicy policy = TreeUpdatePolicy::EagerMerkle,
-       const WpqParams *wpq_override = nullptr)
+/**
+ * The bench machine: the paper's Table 1 system in @p mode, with the
+ * Ma-SU engine (--opt-knobs) and drain watermark (--wpq-watermark)
+ * the command line picked. Every driver builds its machine here.
+ */
+inline SystemConfig
+benchConfig(SecurityMode mode, const BenchOptions &opts)
 {
     auto cfg = SystemConfig::paperDefault();
     cfg.mode = mode;
-    cfg.secure.treePolicy = policy;
-    if (wpq_override)
-        cfg.wpq = *wpq_override;
+    cfg.secure.bmtPipeline = opts.bmtPipeline;
     if (opts.wpqWatermark)
         cfg.wpq.drainWatermarkPct = *opts.wpqWatermark;
-    cfg.secure.bmtPipeline = opts.bmtPipeline;
+    return cfg;
+}
+
+/**
+ * Run @p workload for opts.txns transactions on a machine built from
+ * @p cfg. Unless --no-verify, a run whose final state fails the
+ * workload's check ends the driver with exit 1.
+ */
+inline workloads::RunResult
+runVerified(const SystemConfig &cfg, const std::string &workload,
+            const workloads::WorkloadParams &params,
+            const BenchOptions &opts)
+{
     System sys(cfg);
-    auto wl = workloads::makeWorkload(workload,
-                                      presetFor(workload, opts, tx_size));
+    auto wl = workloads::makeWorkload(workload, params);
     auto res = workloads::runWorkload(sys, *wl, opts.txns);
     if (opts.verify && !res.verified) {
         std::fprintf(stderr,
                      "VERIFICATION FAILED: %s on %s: %s\n",
-                     workload.c_str(), securityModeName(mode),
+                     workload.c_str(), securityModeName(cfg.mode),
                      res.verifyDiagnostic.c_str());
         std::exit(1);
     }
     return res;
+}
+
+/** Run one preset workload on the bench machine in @p mode. */
+inline workloads::RunResult
+runOne(const std::string &workload, SecurityMode mode,
+       const BenchOptions &opts, unsigned tx_size = 1024,
+       TreeUpdatePolicy policy = TreeUpdatePolicy::EagerMerkle)
+{
+    auto cfg = benchConfig(mode, opts);
+    cfg.secure.treePolicy = policy;
+    return runVerified(cfg, workload,
+                       presetFor(workload, opts, tx_size), opts);
 }
 
 /** Geometric mean. */

@@ -33,18 +33,7 @@ main(int argc, char **argv)
         p.readsPerTx = 2;
 
         auto run = [&](SecurityMode mode) {
-            auto cfg = SystemConfig::paperDefault();
-            cfg.secure.bmtPipeline = opts.bmtPipeline;
-            cfg.mode = mode;
-            System sys(cfg);
-            auto w = workloads::makeWorkload(wl, p);
-            auto res = workloads::runWorkload(sys, *w, opts.txns);
-            if (opts.verify && !res.verified) {
-                std::fprintf(stderr, "VERIFICATION FAILED: %s\n",
-                             res.verifyDiagnostic.c_str());
-                std::exit(1);
-            }
-            return res;
+            return runVerified(benchConfig(mode, opts), wl, p, opts);
         };
 
         const auto base = run(SecurityMode::PreWpqSecure);

@@ -39,15 +39,14 @@ main(int argc, char **argv)
     for (const auto &wl : workloads::workloadNames()) {
         std::printf("%-12s", wl.c_str());
         for (std::size_t i = 0; i < std::size(points); ++i) {
-            WpqParams wpq;
-            wpq.adrBudgetEntries = points[i].budget;
-            wpq.partialEntries = points[i].partial;
-            const auto base =
-                runOne(wl, SecurityMode::PreWpqSecure, opts, 1024,
-                       TreeUpdatePolicy::EagerMerkle, &wpq);
-            const auto dolos =
-                runOne(wl, SecurityMode::DolosPartialWpq, opts, 1024,
-                       TreeUpdatePolicy::EagerMerkle, &wpq);
+            auto run = [&](SecurityMode mode) {
+                auto cfg = benchConfig(mode, opts);
+                cfg.wpq.adrBudgetEntries = points[i].budget;
+                cfg.wpq.partialEntries = points[i].partial;
+                return runVerified(cfg, wl, presetFor(wl, opts), opts);
+            };
+            const auto base = run(SecurityMode::PreWpqSecure);
+            const auto dolos = run(SecurityMode::DolosPartialWpq);
             const double s = base.cyclesPerTx() / dolos.cyclesPerTx();
             speedups[i].push_back(s);
             retries[i].push_back(dolos.retriesPerKwr);

@@ -12,6 +12,8 @@
 #       --json tests/baselines/BENCH_intro_overhead.json
 #   bench/fig12_speedup_eager --txns 40 --keys 64 --seed 7 \
 #       --json tests/baselines/BENCH_fig12_speedup_eager.json
+#   bench/ablation_matrix --txns 40 --keys 64 --seed 7 \
+#       --json tests/baselines/BENCH_ablation_matrix.json
 #
 # Invoked as:
 #   cmake -DBENCH=<driver> -DREPORT=<dolos_report>
@@ -62,26 +64,12 @@ execute_process(
     OUTPUT_VARIABLE diff_out
     ERROR_VARIABLE diff_err)
 
-# Per-stage stall-cycle delta table (informational): artifacts that
-# carry stage-cycle series get a breakdown of where the drift is, so
-# a threshold failure names the stage that moved.
-execute_process(
-    COMMAND "${REPORT}" --diff "${BASELINE}" "${candidate}"
-    RESULT_VARIABLE stage_rc
-    OUTPUT_VARIABLE stage_out
-    ERROR_VARIABLE stage_err)
-if(stage_rc EQUAL 0)
-    set(stage_table "\nstage delta vs baseline:\n${stage_out}")
-else()
-    set(stage_table "")
-endif()
-
 if(NOT diff_rc EQUAL 0)
     message(FATAL_ERROR
         "bench_baseline: regression vs recorded baseline "
-        "(rc=${diff_rc})\n${diff_out}\n${diff_err}${stage_table}\n"
+        "(rc=${diff_rc})\n${diff_out}\n${diff_err}\n"
         "If the change is intentional, re-record the baseline (see "
         "header of bench_baseline.cmake).")
 endif()
 
-message(STATUS "bench_baseline: OK\n${diff_out}${stage_table}")
+message(STATUS "bench_baseline: OK\n${diff_out}")

@@ -43,7 +43,6 @@ struct LegSnapshot
     std::uint64_t attacks = 0;
     std::map<Addr, Block> image;
     std::map<Addr, std::array<ByteClass, blockSize>> classes;
-    std::uint64_t stallPlusBmt = 0;
     std::uint64_t coalesced = 0;
 };
 
@@ -78,8 +77,6 @@ runLeg(const SystemConfig &cfg, const std::string &workload,
             cls[i] = golden.classify(block + i);
     }
 
-    s.stallPlusBmt = sys.controller().wpqStallCycles() +
-                     sys.engine().bmtCycles();
     s.coalesced = sys.engine().bmtCoalescedUpdates();
     sys.core().setObserver(nullptr);
     return s;
@@ -190,13 +187,6 @@ verifyPerfEquiv(SecurityMode mode, const std::string &workload,
     else if (!r.finalStateIdentical)
         diag(r, "final plaintext images differ");
 
-    r.offStallPlusBmt = off.stallPlusBmt;
-    r.onStallPlusBmt = on.stallPlusBmt;
-    r.timingNoWorse = on.stallPlusBmt <= off.stallPlusBmt;
-    if (!r.timingNoWorse)
-        diag(r, "timing regressed: stall+bmt off=%llu on=%llu",
-             (unsigned long long)off.stallPlusBmt,
-             (unsigned long long)on.stallPlusBmt);
     r.bmtCoalescedUpdates = on.coalesced;
 
     // Leg 2: crash at a program-order WPQ boundary near the middle of
@@ -260,12 +250,9 @@ formatPerfEquivReport(const PerfEquivResult &r)
     char buf[256];
     std::snprintf(
         buf, sizeof(buf),
-        "%-13s %-8s %s  stall+bmt %llu -> %llu  "
-        "(coalesced=%llu)",
+        "%-13s %-8s %s  (coalesced=%llu)",
         securityModeName(r.mode), r.workload.c_str(),
         r.ok() ? "OK  " : "FAIL",
-        (unsigned long long)r.offStallPlusBmt,
-        (unsigned long long)r.onStallPlusBmt,
         (unsigned long long)r.bmtCoalescedUpdates);
     std::string out = buf;
     for (const auto &d : r.diagnostics) {

@@ -17,12 +17,11 @@
  *       if any regression was found, 0 otherwise.
  *
  *   dolos_report --diff BASELINE CANDIDATE
- *       Print the per-stage stall-cycle delta table (wpqStall / bmt /
- *       mac / aes / ...) between two --stats-json dumps. Exits 0 on
- *       readable input with comparable stages, 2 when a stage appears
- *       in exactly one document (a one-sided artifact is a config
- *       mismatch, not a zero); the bench gates print it so a
- *       threshold failure comes with the stage that moved.
+ *       Print runCycles, then the per-stage cycle accounts (wpqStall
+ *       / bmt / mac / aes / ...), baseline vs candidate, between two
+ *       --stats-json dumps. Exits 0 on readable input with comparable
+ *       stages, 2 when a stage appears in exactly one document (a
+ *       one-sided artifact is a config mismatch, not a zero).
  *
  *   dolos_report --timeline FILE [FILE2]
  *       Render a --stats-timeline JSON artifact: one ASCII sparkline
@@ -59,8 +58,8 @@ usage(int code)
         "  --check FILE      validate a JSON artifact (exit 0/2)\n"
         "  --threshold PCT   regression threshold in percent "
         "(default 5)\n"
-        "  --diff            per-stage stall-cycle delta table "
-        "between two --stats-json dumps\n"
+        "  --diff            runCycles and per-stage cycle delta "
+        "table between two --stats-json dumps\n"
         "  --timeline        sparklines for a --stats-timeline "
         "artifact; with two files, a window-aligned delta table\n");
     std::exit(code);
@@ -144,25 +143,24 @@ sumLeavesNamed(
 }
 
 /**
- * --diff: the persist-path stage breakdown, baseline vs candidate.
- * Rows are the per-stage cycle accounts a --stats-json dump carries;
- * stall stages sum into a combined "stall total" row so a bench-gate
- * failure shows which stage moved.
+ * --diff: end-to-end cycles first, then the persist-path stage
+ * accounts, baseline vs candidate. The stage accounts are per-write
+ * sums that overlap, so they explain a runCycles move; they are not
+ * summed into a total of their own.
  */
 int
 diffStages(const dolos::json::Value &base,
            const dolos::json::Value &cand)
 {
     static const char *stages[] = {
-        "wpqStallCycles", "bmtCycles",      "macCycles",
-        "aesCycles",      "misuMacCycles",  "ctrFetchCycles",
-        "fenceStallCycles"};
+        "runCycles",      "wpqStallCycles", "bmtCycles",
+        "macCycles",      "aesCycles",      "misuMacCycles",
+        "ctrFetchCycles", "fenceStallCycles"};
     const auto baseLeaves = dolos::json::numericLeaves(base);
     const auto candLeaves = dolos::json::numericLeaves(cand);
 
     std::printf("%-18s %14s %14s %14s %8s\n", "stage", "baseline",
                 "candidate", "delta", "pct");
-    double baseTotal = 0, candTotal = 0;
     std::size_t rows = 0;
     for (const char *stage : stages) {
         double bv = 0, cv = 0;
@@ -181,8 +179,6 @@ diffStages(const dolos::json::Value &base,
             return 2;
         }
         ++rows;
-        baseTotal += bv;
-        candTotal += cv;
         const double delta = cv - bv;
         const double pct = bv != 0.0  ? delta / bv * 100.0
                            : delta > 0 ? 100.0
@@ -195,27 +191,6 @@ diffStages(const dolos::json::Value &base,
         std::fprintf(stderr,
                      "dolos_report: no shared stage-cycle leaves — "
                      "are these --stats-json dumps?\n");
-        return 2;
-    }
-    const double delta = candTotal - baseTotal;
-    std::printf("%-18s %14.0f %14.0f %+14.0f %+7.1f%%\n",
-                "stall total", baseTotal, candTotal, delta,
-                baseTotal != 0.0 ? delta / baseTotal * 100.0 : 0.0);
-    double bruns = 0, cruns = 0;
-    const std::size_t brn =
-        sumLeavesNamed(baseLeaves, "runCycles", bruns);
-    const std::size_t crn =
-        sumLeavesNamed(candLeaves, "runCycles", cruns);
-    if (brn && crn) {
-        const double d = cruns - bruns;
-        std::printf("%-18s %14.0f %14.0f %+14.0f %+7.1f%%\n",
-                    "runCycles", bruns, cruns, d,
-                    bruns != 0.0 ? d / bruns * 100.0 : 0.0);
-    } else if (brn || crn) {
-        std::fprintf(stderr,
-                     "dolos_report: stat 'runCycles' present only in "
-                     "%s — artifacts are not comparable\n",
-                     brn ? "the baseline" : "the candidate");
         return 2;
     }
     return 0;

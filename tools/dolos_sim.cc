@@ -62,7 +62,8 @@ struct Options
     std::optional<unsigned> spares;   ///< --spares: NVM spare frames
     std::optional<std::uint64_t> eadrBudget; ///< --eadr-budget cycles
     bool verifyManifest = false; ///< --verify-manifest: crash-state check
-    bool verifyPerfEquiv = false; ///< --verify-perf-equiv: timing diff
+    bool verifyPerfEquiv = false; ///< --verify-perf-equiv: serial vs
+                                  ///< pipelined state differential
     bool bmtPipeline = true; ///< --opt-knobs: all|none
     std::uint64_t sampleInterval = 0; ///< --sample-interval (0 = off)
     std::string timelineFile; ///< --stats-timeline (.csv => CSV)
