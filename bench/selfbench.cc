@@ -11,7 +11,7 @@
  * of a fixed calibration kernel timed in the same process, so a
  * slower or busier host moves both and the ratio stays put. The
  * kernel is not simulator code, so a simulator speed-up (crypto,
- * event queue) cannot cancel itself out. The attribution shares and
+ * NVM model) cannot cancel itself out. The attribution shares and
  * each component's host nanoseconds per profiled call are recorded
  * for the report but never gated (dolos_report treats them as
  * neutral).

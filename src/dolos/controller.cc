@@ -181,40 +181,14 @@ SecureMemController::readRetried(Addr addr, Tick now)
     DOLOS_PROF_SCOPE(Controller);
     if (nvm.isQuarantined(addr))
         return {zeroBlock(), now + cfg.nvm.readLatency};
-    ReadResult r = nvm.read(addr, now);
-    unsigned attempts = 0;
-    while (nvm.lastReadMediaError() &&
-           attempts < cfg.secure.mediaRetryLimit) {
-        ++attempts;
-        r = nvm.read(addr, r.completeTick +
-                               (cfg.secure.mediaRetryBackoff
-                                << (attempts - 1)));
-    }
-    if (nvm.lastReadMediaError()) {
+    const auto read = [&](Tick at) { return nvm.read(addr, at); };
+    const auto r = retryMedia(read(now), read);
+    if (r.failed) {
         nvm.quarantine(addr, "uncorrectable media fault (raw read)",
-                       attempts);
-        return {zeroBlock(), r.completeTick};
+                       r.retries);
+        return {zeroBlock(), r.last.completeTick};
     }
-    return r;
-}
-
-Tick
-SecureMemController::writeRetried(Addr addr, const Block &data, Tick now)
-{
-    DOLOS_PROF_SCOPE(Controller);
-    Tick done = nvm.write(addr, data, now);
-    unsigned attempts = 0;
-    while (nvm.lastWriteMediaError() &&
-           attempts < cfg.secure.mediaRetryLimit) {
-        ++attempts;
-        done = nvm.write(addr, data,
-                         done + (cfg.secure.mediaRetryBackoff
-                                 << (attempts - 1)));
-    }
-    if (nvm.lastWriteMediaError())
-        nvm.quarantine(addr, "write failure persisted through retries",
-                       attempts);
-    return done;
+    return r.last;
 }
 
 void
@@ -230,10 +204,12 @@ SecureMemController::drainEntry(WpqEntry &e)
         // slot frees once the data write issues to NVM: the bank
         // queue, not the WPQ, holds the write until it completes.
         done = std::max(start, lastDrainIssue);
-        writeRetried(e.addr,
-                     cfg.mode == SecurityMode::PreWpqSecure ? e.ciphertext
-                                                            : e.plaintext,
-                     done);
+        engine.writeCiphertext(e.addr,
+                               cfg.mode == SecurityMode::PreWpqSecure
+                                   ? e.ciphertext
+                                   : e.plaintext,
+                               done);
+        DOLOS_CRASH_POINT(WpqCtWrite);
         lastDrainIssue = done;
         break;
       default: {

@@ -235,11 +235,10 @@ class SecureMemController : public PersistController
     PersistTicket enqueueWrite(Addr addr, const Block &data, Tick now);
 
     /**
-     * Raw NVM access with bounded media-error retry (modes that skip
-     * the security engine still honor the device's fault flag).
+     * Raw NVM read with the media-error retry (the ideal mode skips
+     * the security engine but still honors the device's fault flag).
      */
     ReadResult readRetried(Addr addr, Tick now);
-    Tick writeRetried(Addr addr, const Block &data, Tick now);
 
     /** Persistent recovery-journal state (see recover()). */
     enum class RecoveryPhase : std::uint64_t

@@ -41,7 +41,7 @@ NvmDevice::bankIndex(Addr addr) const
     return (addr / blockSize) % params.numBanks;
 }
 
-ReadResult
+NvmRead
 NvmDevice::read(Addr addr, Tick now)
 {
     DOLOS_PROF_SCOPE(Nvm);
@@ -55,12 +55,12 @@ NvmDevice::read(Addr addr, Tick now)
         ++statBankConflicts;
     bank = start + params.readLatency;
     DOLOS_TRACE(trace::Stage::NvmRead, now, bank, addr, 0);
-    Block block = data_.read(blockAlign(addr));
-    applyReadFaults(blockAlign(addr), block);
-    return {block, bank};
+    NvmRead r{{data_.read(blockAlign(addr)), bank}};
+    r.mediaError = applyReadFaults(blockAlign(addr), r.data);
+    return r;
 }
 
-Tick
+NvmWrite
 NvmDevice::write(Addr addr, const Block &block, Tick now)
 {
     DOLOS_PROF_SCOPE(Nvm);
@@ -74,19 +74,18 @@ NvmDevice::write(Addr addr, const Block &block, Tick now)
     bank = start + params.writeLatency;
     const Addr aligned = blockAlign(addr);
     const auto fail = writeFailures_.find(aligned);
-    if (fail != writeFailures_.end() && fail->second > 0) {
+    const bool failed = fail != writeFailures_.end() && fail->second > 0;
+    if (failed) {
         // The cell array rejected the program pulse: the old contents
         // survive and the device reports the failed commit.
         if (--fail->second == 0)
             writeFailures_.erase(fail);
-        lastWriteMediaError_ = true;
         ++statMediaErrorWrites;
     } else {
-        lastWriteMediaError_ = false;
         data_.write(aligned, block);
     }
     DOLOS_TRACE(trace::Stage::NvmWrite, now, bank, addr, 0);
-    return bank;
+    return {bank, failed};
 }
 
 void
@@ -101,12 +100,12 @@ NvmDevice::readFunctional(Addr addr) const
     return data_.read(blockAlign(addr));
 }
 
-Block
+NvmRead
 NvmDevice::readFunctionalChecked(Addr addr)
 {
-    Block block = data_.read(blockAlign(addr));
-    applyReadFaults(blockAlign(addr), block);
-    return block;
+    NvmRead r{{data_.read(blockAlign(addr)), 0}};
+    r.mediaError = applyReadFaults(blockAlign(addr), r.data);
+    return r;
 }
 
 Tick
@@ -115,7 +114,7 @@ NvmDevice::bankFreeAt(Addr addr) const
     return bankBusyUntil[bankIndex(addr)];
 }
 
-void
+bool
 NvmDevice::applyReadFaults(Addr addr, Block &data)
 {
     bool faulted = false;
@@ -143,9 +142,9 @@ NvmDevice::applyReadFaults(Addr addr, Block &data)
         transientFlips_.erase(flip);
         faulted = true;
     }
-    lastReadMediaError_ = faulted;
     if (faulted)
         ++statMediaErrorReads;
+    return faulted;
 }
 
 void
@@ -214,13 +213,11 @@ NvmDevice::hasUnhealableFault(Addr addr) const
 void
 NvmDevice::crash()
 {
-    // Bank scheduling state and the last-access fault flags live in
-    // the (volatile) device controller; the cell array and the
-    // physical fault state are in the cells and survive.
+    // Bank scheduling state lives in the (volatile) device
+    // controller; the cell array and the physical fault state are in
+    // the cells and survive.
     std::fill(bankBusyUntil.begin(), bankBusyUntil.end(), 0);
     std::fill(bankReadBusyUntil.begin(), bankReadBusyUntil.end(), 0);
-    lastReadMediaError_ = false;
-    lastWriteMediaError_ = false;
 }
 
 persist::StateManifest
@@ -260,8 +257,6 @@ NvmDevice::stateManifest() const
     DOLOS_MF_P(m, writeFailures_);
     DOLOS_MF_P(m, quarantined_);
     DOLOS_MF_P(m, remapped_);
-    DOLOS_MF_V(m, lastReadMediaError_);
-    DOLOS_MF_V(m, lastWriteMediaError_);
     DOLOS_MF_CONST(m, stats_);
     DOLOS_MF_P(m, statReads);
     DOLOS_MF_P(m, statWrites);

@@ -55,6 +55,74 @@ struct NvmParams
     unsigned spareBlocks = 32;
 };
 
+/** A timed or checked device read and the media flag it raised. */
+struct NvmRead : ReadResult
+{
+    bool mediaError = false; ///< the device detected a fault
+};
+
+/** A timed device write and the media flag it raised. */
+struct NvmWrite
+{
+    Tick completeTick = 0;   ///< the bank finished the write
+    bool mediaError = false; ///< the cells rejected it: not committed
+};
+
+/**
+ * The media-fault retry policy. A device-flagged access is suspect
+ * cells, not tamper: it is repeated up to mediaRetryLimit times, the
+ * k-th retry starting mediaRetryBackoff << (k - 1) cycles after the
+ * previous attempt completed. What follows a fault that outlives the
+ * retries (repair, quarantine or skip) is the caller's decision.
+ */
+inline constexpr unsigned mediaRetryLimit = 3;
+inline constexpr Cycles mediaRetryBackoff = 300; ///< first delay; doubles
+
+/** Outcome of retryMedia(): the last attempt and how it went. */
+template <class Result>
+struct MediaRetried
+{
+    Result last;          ///< the final attempt
+    unsigned retries = 0; ///< attempts after the first
+    bool failed = false;  ///< the final attempt still needed a retry
+
+    bool healed() const { return retries != 0 && !failed; }
+};
+
+/**
+ * Apply the retry policy. @p first is the initial attempt's result
+ * and @p again(Tick) repeats the access at a tick. An attempt is
+ * retried while it is media-flagged and @p accept rejects it. Results
+ * carry mediaError and completeTick; an untimed access ignores the
+ * tick it is given.
+ */
+template <class Result, class Again, class Accept>
+MediaRetried<Result>
+retryMedia(Result first, Again again, Accept accept)
+{
+    MediaRetried<Result> r{std::move(first)};
+    const auto retry = [&] {
+        return r.last.mediaError && !accept(std::as_const(r.last));
+    };
+    while (retry() && r.retries < mediaRetryLimit) {
+        const Tick at = r.last.completeTick +
+                        (mediaRetryBackoff << r.retries);
+        ++r.retries;
+        r.last = again(at);
+    }
+    r.failed = retry();
+    return r;
+}
+
+/** retryMedia() that retries every media-flagged attempt. */
+template <class Result, class Again>
+MediaRetried<Result>
+retryMedia(Result first, Again again)
+{
+    return retryMedia(std::move(first), again,
+                      [](const Result &) { return false; });
+}
+
 /** One quarantined (unrecoverable) block and why it was retired. */
 struct QuarantineRecord
 {
@@ -97,12 +165,11 @@ dolosDescribeValue(std::ostream &os, const RemapRecord &r)
  * one-shot transient read flips, persistent stuck-at cells, and
  * dropped writes. Faults perturb only the timed demand paths
  * (read()/write()); functional accesses see the raw array, which is
- * what the crash-dump drain and test fixtures rely on. After each
- * timed access lastReadMediaError()/lastWriteMediaError() reports
- * whether the device detected a fault — the controller uses that flag
- * to tell a correctable media error (retry) from tamper (alarm),
- * because an adversary mutating the array functionally leaves no
- * such trace.
+ * what the crash-dump drain and test fixtures rely on. Each timed
+ * access returns whether the device detected a fault — the
+ * controller uses that flag to tell a correctable media error
+ * (retryMedia) from tamper (alarm), because an adversary mutating the
+ * array functionally leaves no such trace.
  */
 class NvmDevice
 {
@@ -110,15 +177,15 @@ class NvmDevice
     explicit NvmDevice(const NvmParams &params);
 
     /** Timed functional read of one block. */
-    ReadResult read(Addr addr, Tick now);
+    NvmRead read(Addr addr, Tick now);
 
     /**
      * Timed functional write of one block.
      *
      * @return tick at which the write has been committed to the
-     *         persistent cell array.
+     *         persistent cell array, and whether it failed to commit.
      */
-    Tick write(Addr addr, const Block &data, Tick now);
+    NvmWrite write(Addr addr, const Block &data, Tick now);
 
     /**
      * Functional-only write, free of timing (used by the ADR crash
@@ -132,11 +199,11 @@ class NvmDevice
 
     /**
      * Functional read that still passes through the media-fault model
-     * and sets lastReadMediaError(). Recovery and scrub paths use it:
-     * they are not timed, but must see (and get to disambiguate) the
-     * same cell wear a demand read would.
+     * (completeTick stays 0). Recovery and scrub paths use it: they
+     * are not timed, but must see (and get to disambiguate) the same
+     * cell wear a demand read would.
      */
-    Block readFunctionalChecked(Addr addr);
+    NvmRead readFunctionalChecked(Addr addr);
 
     /** Earliest tick at which the bank holding @p addr is free. */
     Tick bankFreeAt(Addr addr) const;
@@ -144,8 +211,8 @@ class NvmDevice
     /**
      * Power failure: the cell array and the physical media-fault
      * state (wear is in the cells, not in the controller) survive;
-     * bank scheduling state and the last-access fault flags are
-     * volatile controller-side registers and reset.
+     * bank scheduling state is a volatile controller-side register
+     * and resets.
      */
     void crash();
 
@@ -180,10 +247,6 @@ class NvmDevice
     /** Make the next @p count timed writes to @p addr fail silently
      *  (the array keeps its old contents; the device flags it). */
     void injectWriteFail(Addr addr, unsigned count);
-
-    /** Device-detected fault on the most recent timed read/write. */
-    bool lastReadMediaError() const { return lastReadMediaError_; }
-    bool lastWriteMediaError() const { return lastWriteMediaError_; }
 
     /** Retire @p addr: timed reads of it are known-bad from now on. */
     void quarantine(Addr addr, std::string reason, unsigned retries,
@@ -233,7 +296,8 @@ class NvmDevice
 
   private:
     std::size_t bankIndex(Addr addr) const;
-    void applyReadFaults(Addr addr, Block &data);
+    /** Apply the armed faults to @p data; true if any was flagged. */
+    bool applyReadFaults(Addr addr, Block &data);
 
     NvmParams params;
     BackingStore data_;
@@ -247,8 +311,6 @@ class NvmDevice
     std::map<Addr, unsigned> writeFailures_;
     std::map<Addr, QuarantineRecord> quarantined_;
     std::vector<RemapRecord> remapped_;
-    bool lastReadMediaError_ = false;
-    bool lastWriteMediaError_ = false;
 
     stats::StatGroup stats_;
     stats::Scalar statReads;
@@ -273,8 +335,6 @@ class NvmDevice
     DOLOS_PERSISTENT(writeFailures_);
     DOLOS_PERSISTENT(quarantined_);
     DOLOS_PERSISTENT(remapped_);
-    DOLOS_VOLATILE(lastReadMediaError_);
-    DOLOS_VOLATILE(lastWriteMediaError_);
     DOLOS_PERSISTENT(stats_);
     DOLOS_PERSISTENT(statReads);
     DOLOS_PERSISTENT(statWrites);

@@ -50,47 +50,52 @@ AnubisShadow::recordUpdate(std::size_t slot, Addr page_idx,
 
     const Addr addr = AddressMap::shadowSlotAddr(Addr(slot) * 2);
     nvm.write(addr, packed, now);
-    return nvm.write(addr + blockSize, meta, now);
+    return nvm.write(addr + blockSize, meta, now).completeTick;
 }
 
 ShadowScan
-AnubisShadow::scan(unsigned media_retry_limit)
+AnubisShadow::scan()
 {
+    /** What one read of a slot showed (its entry goes to `e`). */
+    struct SlotRead
+    {
+        bool written = false; ///< the valid marker is present
+        bool macOk = false;
+        bool mediaError = false;
+        Tick completeTick = 0; ///< untimed
+    };
+
     ShadowScan result;
+    ShadowEntry e; // the latest read's entry, once its marker held
     for (std::size_t slot = 0; slot < slots; ++slot) {
         const Addr addr = AddressMap::shadowSlotAddr(Addr(slot) * 2);
-        for (unsigned attempt = 0;; ++attempt) {
-            const Block meta = nvm.readFunctionalChecked(addr + blockSize);
-            bool media = nvm.lastReadMediaError();
-            if (loadWord(meta, 0) != slotValidMarker) {
-                if (!media)
-                    break; // never written
-                if (attempt < media_retry_limit)
-                    continue; // a transient flip may have hit the marker
-                ++result.mediaSkippedSlots;
-                break;
-            }
-            const Block packed = nvm.readFunctionalChecked(addr);
-            media |= nvm.lastReadMediaError();
-            ShadowEntry e;
-            e.pageIdx = loadWord(meta, 8);
-            e.seq = loadWord(meta, 16);
+        const auto read = [&](Tick) {
+            SlotRead s;
+            const NvmRead meta = nvm.readFunctionalChecked(addr + blockSize);
+            s.mediaError = meta.mediaError;
+            s.written = loadWord(meta.data, 0) == slotValidMarker;
+            if (!s.written)
+                return s; // never written, or a flip hit the marker
+            const NvmRead packed = nvm.readFunctionalChecked(addr);
+            s.mediaError |= packed.mediaError;
+            e.pageIdx = loadWord(meta.data, 8);
+            e.seq = loadWord(meta.data, 16);
             crypto::MacTag stored;
-            std::memcpy(stored.data(), meta.data() + 24, stored.size());
-            if (entryMac(e.pageIdx, packed, e.seq) == stored) {
-                e.page = CounterPage::unpack(packed);
-                result.entries.push_back(e);
-                break;
-            }
-            if (media && attempt < media_retry_limit)
-                continue; // retry: transient disturb errors heal
-            if (media) {
-                ++result.mediaSkippedSlots;
-                break; // worn slot: skip, never alarm
-            }
+            std::memcpy(stored.data(), meta.data.data() + 24, stored.size());
+            s.macOk = entryMac(e.pageIdx, packed.data, e.seq) == stored;
+            e.page = CounterPage::unpack(packed.data);
+            return s;
+        };
+        // Only an invalid or mis-MACed slot is retried: transient
+        // disturb errors heal.
+        const auto r = retryMedia(read(0), read,
+                                  [](const SlotRead &s) { return s.macOk; });
+        if (r.last.macOk)
+            result.entries.push_back(e);
+        else if (r.last.mediaError)
+            ++result.mediaSkippedSlots; // worn slot: skip, never alarm
+        else if (r.last.written)
             result.tamperDetected = true;
-            break;
-        }
     }
     return result;
 }

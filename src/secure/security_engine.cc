@@ -156,45 +156,30 @@ causeTag(const char *kind, Addr addr)
 } // namespace
 
 void
-SecurityEngine::cascadeQuarantineCounterBlock(Addr cb_addr,
-                                              unsigned retries)
+SecurityEngine::cascadeQuarantine(Addr meta_addr, unsigned retries)
 {
-    const std::string cause = causeTag("counter_block", cb_addr);
-    nvm_.quarantine(cb_addr,
-                    "counter block media fault (reconstruction failed)",
+    const bool ctr = params.map.regionOf(meta_addr) == NvmRegion::Counter;
+    const char *kind = ctr ? "counter block" : "MAC block";
+    nvm_.quarantine(meta_addr,
+                    ctr ? "counter block media fault (reconstruction "
+                          "failed)"
+                        : "MAC block media fault (no spare frame left)",
                     retries);
+    const std::string cause =
+        causeTag(ctr ? "counter_block" : "mac_block", meta_addr);
+    const std::string reason =
+        std::string("covering ") + kind + " unrecoverable";
     std::size_t lost = 0;
-    for (const Addr a : params.map.dataCoveredByCounterBlock(cb_addr)) {
+    for (const Addr a : ctr ? params.map.dataCoveredByCounterBlock(meta_addr)
+                            : params.map.dataCoveredByMacBlock(meta_addr)) {
         if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
             continue;
-        nvm_.quarantine(a, "covering counter block unrecoverable",
-                        retries, cause);
+        nvm_.quarantine(a, reason, retries, cause);
         ++statCascadedBlocks;
         ++lost;
     }
-    warn("counter block 0x%llx unrecoverable: %zu data blocks "
-         "quarantined",
-         (unsigned long long)cb_addr, lost);
-}
-
-void
-SecurityEngine::cascadeQuarantineMacBlock(Addr mb_addr, unsigned retries)
-{
-    const std::string cause = causeTag("mac_block", mb_addr);
-    nvm_.quarantine(mb_addr,
-                    "MAC block media fault (no spare frame left)",
-                    retries);
-    std::size_t lost = 0;
-    for (const Addr a : params.map.dataCoveredByMacBlock(mb_addr)) {
-        if (!nvm_.store().contains(a) || nvm_.isQuarantined(a))
-            continue;
-        nvm_.quarantine(a, "covering MAC block unrecoverable", retries,
-                        cause);
-        ++statCascadedBlocks;
-        ++lost;
-    }
-    warn("MAC block 0x%llx unrecoverable: %zu data blocks quarantined",
-         (unsigned long long)mb_addr, lost);
+    warn("%s 0x%llx unrecoverable: %zu data blocks quarantined", kind,
+         (unsigned long long)meta_addr, lost);
 }
 
 std::optional<CounterPage>
@@ -205,7 +190,7 @@ SecurityEngine::rebuildCounterPage(Addr page_idx)
         // Planted bug (torture --expect-bug meta-test): adopt the
         // faulted NVM image — stuck cells and all — instead of
         // reconstructing from data MACs.
-        return CounterPage::unpack(nvm_.readFunctionalChecked(cb_addr));
+        return CounterPage::unpack(nvm_.readFunctionalChecked(cb_addr).data);
     }
 
     // Each covered ciphertext's stored data MAC pins its counter: the
@@ -265,7 +250,7 @@ SecurityEngine::repairCounterBlock(Addr cb_addr, Addr page_idx,
         ++statCounterBlocksRebuilt;
         return true;
     }
-    cascadeQuarantineCounterBlock(cb_addr, retries);
+    cascadeQuarantine(cb_addr, retries);
     return false;
 }
 
@@ -295,7 +280,7 @@ SecurityEngine::repairMacBlock(Addr mb_addr, unsigned retries)
 {
     ++statMetaMediaFaults;
     if (!nvm_.remapToSpare(mb_addr, "MAC block media fault")) {
-        cascadeQuarantineMacBlock(mb_addr, retries);
+        cascadeQuarantine(mb_addr, retries);
         return false;
     }
     // Every lane is recomputable: the covered ciphertext and its
@@ -320,24 +305,19 @@ crypto::MacTag
 SecurityEngine::loadDataMacHealed(Addr addr)
 {
     const Addr mb_addr = AddressMap::macBlockAddr(addr);
-    Block b = nvm_.readFunctionalChecked(mb_addr);
-    bool media = nvm_.lastReadMediaError();
-    unsigned attempts = 0;
-    while (media && attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        b = nvm_.readFunctionalChecked(mb_addr);
-        media = nvm_.lastReadMediaError();
-    }
-    if (media) {
+    const auto read = [&](Tick) {
+        return nvm_.readFunctionalChecked(mb_addr);
+    };
+    const auto r = retryMedia(read(0), read);
+    countRetries(r);
+    Block b = r.last.data;
+    if (r.failed) {
         // Persistent fault on the MAC frame itself: rebuild it (or
         // cascade). Either way the caller re-checks quarantine state.
-        if (repairMacBlock(mb_addr, attempts))
+        if (repairMacBlock(mb_addr, r.retries))
             b = nvm_.readFunctional(mb_addr);
         else
             b = Block{};
-    } else if (attempts) {
-        ++statMediaHealed;
     }
     crypto::MacTag tag;
     std::memcpy(tag.data(), b.data() + AddressMap::macOffsetInBlock(addr),
@@ -413,26 +393,15 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
     // backoff, and if the fault persists take the repair path instead
     // of comparing known-garbage against the truth.
     const Addr page_idx = AddressMap::pageOf(addr);
-    ReadResult r = nvm_.read(cb_addr, start);
-    bool cb_media = nvm_.lastReadMediaError();
-    Tick t = r.completeTick;
-    unsigned cb_attempts = 0;
-    while (cb_media && cb_attempts < params.mediaRetryLimit) {
-        ++cb_attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (cb_attempts - 1);
-        r = nvm_.read(cb_addr, t + backoff);
-        cb_media = nvm_.lastReadMediaError();
-        t = r.completeTick;
-    }
+    const auto read_cb = [&](Tick at) { return nvm_.read(cb_addr, at); };
+    const auto cb = retryMedia(read_cb(start), read_cb);
+    countRetries(cb);
+    Tick t = cb.last.completeTick;
 
-    if (cb_media) {
-        repairCounterBlock(cb_addr, page_idx, cb_attempts);
+    if (cb.failed) {
+        repairCounterBlock(cb_addr, page_idx, cb.retries);
     } else {
-        if (cb_attempts)
-            ++statMediaHealed;
-        const CounterPage fetched = CounterPage::unpack(r.data);
+        const CounterPage fetched = CounterPage::unpack(cb.last.data);
         if (counters.hasPage(page_idx)) {
             // Volatile truth exists (block was evicted earlier): the
             // NVM copy must match it exactly, or someone tampered
@@ -461,25 +430,18 @@ SecurityEngine::fetchCounter(Addr addr, Tick start, bool for_write)
         if (mtCache.lookup(node_addr))
             break;
         ++walked;
-        ReadResult nr = nvm_.read(node_addr, t);
-        bool node_media = nvm_.lastReadMediaError();
-        unsigned node_attempts = 0;
-        while (node_media && node_attempts < params.mediaRetryLimit) {
-            ++node_attempts;
-            ++statMediaRetries;
-            const Cycles backoff = params.mediaRetryBackoff
-                                   << (node_attempts - 1);
-            nr = nvm_.read(node_addr, nr.completeTick + backoff);
-            node_media = nvm_.lastReadMediaError();
-        }
-        t = nr.completeTick + params.macLatency;
-        if (node_attempts && !node_media)
-            ++statMediaHealed;
-        if (node_media) {
-            repairTreeNode(node_addr, lvl, idx, node_attempts);
+        const auto read_node = [&](Tick at) {
+            return nvm_.read(node_addr, at);
+        };
+        const auto node = retryMedia(read_node(t), read_node);
+        countRetries(node);
+        t = node.last.completeTick + params.macLatency;
+        if (node.failed) {
+            repairTreeNode(node_addr, lvl, idx, node.retries);
         } else if (nvm_.store().contains(node_addr)) {
             crypto::MacTag stored;
-            std::memcpy(stored.data(), nr.data.data(), stored.size());
+            std::memcpy(stored.data(), node.last.data.data(),
+                        stored.size());
             if (stored != tree.nodeTag(lvl, idx)) {
                 ++statAttacks;
                 warn("tree node (%u, %llu) modified in NVM", lvl,
@@ -507,15 +469,15 @@ SecurityEngine::reencryptPage(Addr page_idx, const CounterPage &old_page,
         const Addr addr = page_idx * pageBytes + Addr(idx) * blockSize;
         if (!nvm_.store().contains(addr))
             continue; // never written: nothing to re-encrypt
-        const ReadResult r = nvm_.read(addr, start);
+        const NvmRead r = nvm_.read(addr, start);
         Block data = r.data;
         Block pad{};
         padGen.generate(ivFor(addr, old_page.counterOf(idx)), pad);
         crypto::xorInto(data.data(), pad.data(), blockSize);
         padGen.generate(ivFor(addr, new_page.counterOf(idx)), pad);
         crypto::xorInto(data.data(), pad.data(), blockSize);
-        const Tick w =
-            nvm_.write(addr, data, r.completeTick + params.aesLatency);
+        const Tick w = writeCiphertext(addr, data,
+                                       r.completeTick + params.aesLatency);
         storeDataMac(addr, dataMac(addr, data, new_page.counterOf(idx)));
         done = std::max(done, w);
     }
@@ -756,7 +718,7 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     if (!nvm_.store().contains(addr)) {
         // Never written: cold memory reads as zeros, no MAC yet.
         ++statColdReads;
-        const ReadResult r = nvm_.read(addr, arrival);
+        const NvmRead r = nvm_.read(addr, arrival);
         statReadLatency.sample(double(r.completeTick - arrival));
         statReadLatencyHist.sample(double(r.completeTick - arrival));
         return {zeroBlock(), r.completeTick};
@@ -765,8 +727,7 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
     // Data fetch and counter fetch overlap; the pad is generated
     // while the data is in flight (counter-mode advantage), so only
     // the MAC verification and the XOR trail the data.
-    ReadResult data = nvm_.read(addr, arrival);
-    bool media_error = nvm_.lastReadMediaError();
+    NvmRead data = nvm_.read(addr, arrival);
     const Tick ctr_ready = fetchCounter(addr, arrival, false);
     Tick t = std::max(data.completeTick, ctr_ready);
     t += params.macLatency + 1;
@@ -789,28 +750,32 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
         statReadLatencyHist.sample(double(t - arrival));
         return {zeroBlock(), t};
     }
-    bool mac_ok = dataMac(addr, data.data, counter) == stored_mac;
+    const auto mac_ok = [&](const NvmRead &r) {
+        return dataMac(addr, r.data, counter) == stored_mac;
+    };
 
     // A failed MAC check has two very different causes. When the
     // device itself flagged the access, the cells are suspect: retry
-    // with doubling backoff (a transient disturb error heals; a stuck
-    // cell keeps failing and the block is retired). Only a mismatch
-    // on a clean device read is attributed to an adversary.
-    unsigned attempts = 0;
-    while (!mac_ok && media_error && attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (attempts - 1);
-        data = nvm_.read(addr, t + backoff);
-        media_error = nvm_.lastReadMediaError();
-        t = data.completeTick + params.macLatency + 1;
-        mac_ok = dataMac(addr, data.data, counter) == stored_mac;
-    }
-    if (mac_ok && attempts) {
+    // (a transient disturb error heals; a stuck cell keeps failing
+    // and the block is retired). A stuck cell that still reads its
+    // stored value passes the MAC and is served. Only a mismatch on
+    // a clean device read is attributed to an adversary. Each retry
+    // is verified again: its tick includes the MAC check.
+    data.completeTick = t;
+    const auto read = [&](Tick at) {
+        NvmRead r = nvm_.read(addr, at);
+        r.completeTick += params.macLatency + 1;
+        return r;
+    };
+    const auto checked = retryMedia(data, read, mac_ok);
+    const unsigned attempts = checked.retries;
+    t = checked.last.completeTick;
+    statMediaRetries += attempts;
+    const bool verified = mac_ok(checked.last);
+    if (verified && attempts) {
         ++statMediaHealed;
-    } else if (!mac_ok) {
-        if (media_error || attempts) {
+    } else if (!verified) {
+        if (checked.last.mediaError || attempts) {
             nvm_.quarantine(addr,
                             "uncorrectable media fault (read retries "
                             "exhausted)",
@@ -827,7 +792,7 @@ SecurityEngine::secureRead(Addr addr, Tick arrival)
              (unsigned long long)addr);
     }
 
-    Block plaintext = data.data;
+    Block plaintext = checked.last.data;
     Block pad{};
     padGen.generate(ivFor(addr, counter), pad);
     crypto::xorInto(plaintext.data(), pad.data(), blockSize);
@@ -841,27 +806,20 @@ Tick
 SecurityEngine::writeCiphertext(Addr addr, const Block &ciphertext,
                                 Tick now)
 {
-    Tick done = nvm_.write(addr, ciphertext, now);
-    unsigned attempts = 0;
-    while (nvm_.lastWriteMediaError() &&
-           attempts < params.mediaRetryLimit) {
-        ++attempts;
-        ++statMediaRetries;
-        const Cycles backoff = params.mediaRetryBackoff
-                               << (attempts - 1);
-        done = nvm_.write(addr, ciphertext, done + backoff);
-    }
-    if (nvm_.lastWriteMediaError()) {
+    const auto write = [&](Tick at) {
+        return nvm_.write(addr, ciphertext, at);
+    };
+    const auto w = retryMedia(write(now), write);
+    countRetries(w);
+    if (w.failed) {
         nvm_.quarantine(addr,
                         "write failure persisted through retries",
-                        attempts);
+                        w.retries);
         warn("data block 0x%llx quarantined after %u failed write "
              "retries",
-             (unsigned long long)addr, attempts);
-    } else if (attempts) {
-        ++statMediaHealed;
+             (unsigned long long)addr, w.retries);
     }
-    return done;
+    return w.last.completeTick;
 }
 
 void
@@ -964,21 +922,16 @@ SecurityEngine::recover()
     bool media_evidence = false;
     for (const Addr addr : ctr_blocks) {
         const Addr page_idx = (addr - ctr_lo) / blockSize;
-        Block b = nvm_.readFunctionalChecked(addr);
-        bool media = nvm_.lastReadMediaError();
-        unsigned attempts = 0;
-        while (media && attempts < params.mediaRetryLimit) {
-            ++attempts;
-            ++statMediaRetries;
-            b = nvm_.readFunctionalChecked(addr);
-            media = nvm_.lastReadMediaError();
-        }
-        if (!media) {
-            if (attempts) {
-                ++statMediaHealed;
+        const auto read = [&](Tick) {
+            return nvm_.readFunctionalChecked(addr);
+        };
+        const auto frame = retryMedia(read(0), read);
+        countRetries(frame);
+        if (!frame.failed) {
+            if (frame.retries)
                 media_evidence = true;
-            }
-            counters.restorePage(page_idx, CounterPage::unpack(b));
+            counters.restorePage(page_idx,
+                                 CounterPage::unpack(frame.last.data));
             ++res.pagesRestored;
             continue;
         }
@@ -996,7 +949,7 @@ SecurityEngine::recover()
         } else {
             // Don't cascade yet: the shadow table may still hold a
             // valid image of this page. Resolve after the merge.
-            failed_frames.push_back({addr, page_idx, attempts});
+            failed_frames.push_back({addr, page_idx, frame.retries});
         }
     }
 
@@ -1014,7 +967,7 @@ SecurityEngine::recover()
                 ++res.counterBlocksRepaired;
                 ++res.pagesRestored;
             } else {
-                cascadeQuarantineCounterBlock(f.addr, f.retries);
+                cascadeQuarantine(f.addr, f.retries);
                 ++res.counterBlocksCascaded;
             }
         }
@@ -1027,7 +980,7 @@ SecurityEngine::recover()
         // Merge Anubis shadow entries. Counters are monotonic, so
         // the componentwise-newest image wins; stale slots are
         // harmless.
-        const ShadowScan scan = shadow.scan(params.mediaRetryLimit);
+        const ShadowScan scan = shadow.scan();
         res.shadowTamper = scan.tamperDetected;
         res.shadowMediaSkipped = scan.mediaSkippedSlots;
         if (scan.mediaSkippedSlots) {
@@ -1096,8 +1049,7 @@ SecurityEngine::recover()
                 counters.restorePage(p, *rebuilt);
                 ++res.macPinnedRepairs;
             } else {
-                cascadeQuarantineCounterBlock(ctr_lo + p * blockSize,
-                                              0);
+                cascadeQuarantine(ctr_lo + p * blockSize, 0);
                 ++res.counterBlocksCascaded;
             }
         }
@@ -1163,22 +1115,17 @@ SecurityEngine::scrubMetadata()
         if (nvm_.isQuarantined(addr))
             continue;
         ++rep.blocksScanned;
-        nvm_.readFunctionalChecked(addr);
-        bool media = nvm_.lastReadMediaError();
-        if (!media)
-            continue;
-        unsigned attempts = 0;
-        while (media && attempts < params.mediaRetryLimit) {
-            ++attempts;
-            ++statMediaRetries;
-            nvm_.readFunctionalChecked(addr);
-            media = nvm_.lastReadMediaError();
-        }
+        const auto read = [&](Tick) {
+            return nvm_.readFunctionalChecked(addr);
+        };
+        const auto r = retryMedia(read(0), read);
+        if (!r.retries)
+            continue; // the device flagged nothing
+        countRetries(r);
         ++rep.faultsFound;
-        if (!media) {
+        if (!r.failed) {
             // A transient disturb error: the retry consumed it and
             // the underlying cells are intact.
-            ++statMediaHealed;
             ++rep.repaired;
             ++statScrubRepairs;
             continue;
@@ -1187,15 +1134,15 @@ SecurityEngine::scrubMetadata()
         switch (params.map.regionOf(addr)) {
           case NvmRegion::Counter:
             repaired = repairCounterBlock(
-                addr, AddressMap::pageOfCounterBlock(addr), attempts);
+                addr, AddressMap::pageOfCounterBlock(addr), r.retries);
             break;
           case NvmRegion::Tree: {
             const auto [level, idx] = AddressMap::treeNodeOf(addr);
-            repairTreeNode(addr, level, idx, attempts);
+            repairTreeNode(addr, level, idx, r.retries);
             break;
           }
           case NvmRegion::Mac:
-            repaired = repairMacBlock(addr, attempts);
+            repaired = repairMacBlock(addr, r.retries);
             break;
           default:
             break;

@@ -94,16 +94,6 @@ struct SecureParams
     unsigned osirisStopLoss = 4;
 
     /**
-     * Media-error handling: when the NVM device flags a demand access
-     * as faulty (see NvmDevice's media-fault model) the engine
-     * retries up to mediaRetryLimit times, doubling the backoff each
-     * attempt. Only then is the block quarantined. A MAC mismatch
-     * *without* a device media flag is tamper and alarms immediately.
-     */
-    unsigned mediaRetryLimit = 3;
-    Cycles mediaRetryBackoff = 300; ///< first retry delay; doubles
-
-    /**
      * Counter repair: when a counter block is lost to an unhealable
      * media fault, the page is reconstructed Osiris/Phoenix-style by
      * trial-MACing each covered ciphertext against its stored data
@@ -220,7 +210,12 @@ class SecurityEngine
      */
     ReadResult secureRead(Addr addr, Tick arrival);
 
-    /** Post the ciphertext of a completed secureWrite to NVM. */
+    /**
+     * The one timed data write: post @p ciphertext (a completed
+     * secureWrite's, a re-encrypted sibling's, or a baseline drain's
+     * buffered block) to NVM under the media retry policy, and
+     * quarantine the block if the device keeps rejecting it.
+     */
     Tick writeCiphertext(Addr addr, const Block &ciphertext, Tick now);
 
     /**
@@ -448,11 +443,21 @@ class SecurityEngine
      */
     bool repairMacBlock(Addr mb_addr, unsigned retries);
 
-    /** Quarantine a counter block and every stored data block it covered. */
-    void cascadeQuarantineCounterBlock(Addr cb_addr, unsigned retries);
+    /**
+     * Quarantine a lost counter or MAC block and every stored data
+     * block it covered, tagging each victim with the block's cause.
+     */
+    void cascadeQuarantine(Addr meta_addr, unsigned retries);
 
-    /** Quarantine a MAC block and every stored data block it covered. */
-    void cascadeQuarantineMacBlock(Addr mb_addr, unsigned retries);
+    /** Add a retryMedia() outcome to the mediaRetries/Healed stats. */
+    template <class Result>
+    void
+    countRetries(const MediaRetried<Result> &r)
+    {
+        statMediaRetries += r.retries;
+        if (r.healed())
+            ++statMediaHealed;
+    }
 
     /** Data MAC input: ciphertext, counter, address. */
     crypto::MacTag dataMac(Addr addr, const Block &ciphertext,

@@ -47,7 +47,7 @@ enum class Step : std::uint8_t
 
     // --- controller drain scheduler ---------------------------------
     WpqDrainIssue,   ///< drain handed to the engine
-    WpqCtWrite,      ///< drained ciphertext written to NVM
+    WpqCtWrite,      ///< drained block (ciphertext) written to NVM
     WpqRedoClear,    ///< redo log cleared, entry about to release
 
     // --- eADR holdup flush (power already failed) -------------------

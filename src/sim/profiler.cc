@@ -9,8 +9,6 @@
 #include <cstdio>
 #include <iomanip>
 
-#include "sim/json.hh"
-
 namespace dolos::prof
 {
 
@@ -149,27 +147,6 @@ Profiler::report(std::ostream &os) const
            << std::setw(12) << secStr(sec) << " s  " << pct << "%  "
            << calls_[i] << " calls\n";
     }
-}
-
-void
-Profiler::reportJson(std::ostream &os) const
-{
-    const double total = double(attributedNanos());
-    os << "{\"selfprof\":{\"attributedSec\":"
-       << secStr(total * 1e-9) << ",\"components\":{";
-    bool first = true;
-    for (std::size_t i = 0; i < numComps; ++i) {
-        if (!calls_[i])
-            continue;
-        os << (first ? "" : ",") << "\""
-           << json::escape(compName(static_cast<Comp>(i)))
-           << "\":{\"seconds\":" << secStr(double(nanos_[i]) * 1e-9)
-           << ",\"share\":"
-           << secStr(total > 0 ? double(nanos_[i]) / total : 0)
-           << ",\"calls\":" << calls_[i] << "}";
-        first = false;
-    }
-    os << "}}}\n";
 }
 
 } // namespace dolos::prof

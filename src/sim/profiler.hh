@@ -40,7 +40,7 @@ namespace dolos::prof
 /** Component a profiled scope attributes its host time to. */
 enum class Comp : std::uint8_t
 {
-    EventKernel,    ///< event-queue dispatch loop
+    EventKernel,    ///< no scope records here; name kept for reports
     Core,           ///< SimpleCore operation bookkeeping
     CacheModel,     ///< cache hierarchy lookups/fills
     Controller,     ///< memory controller + WPQ machinery
@@ -101,13 +101,6 @@ class Profiler
 
     /** Human-readable table: component, seconds, share, calls. */
     void report(std::ostream &os) const;
-
-    /**
-     * {"selfprof":{"attributedSec":...,"components":{name:
-     * {"seconds":...,"share":...,"calls":...}}}} — components in
-     * fixed enum order (deterministic, byte-diffable).
-     */
-    void reportJson(std::ostream &os) const;
 
   private:
     static constexpr std::size_t numComps =

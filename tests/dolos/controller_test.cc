@@ -102,6 +102,37 @@ TEST(Controller, DolosPostSecondWriteWaitsForBusyUnit)
     EXPECT_GE(t2.persistTick, t1.persistTick + 160u);
 }
 
+TEST(Controller, IdealRawReadRetryBackoffSchedule)
+{
+    // Characterisation of the media retry schedule on the ideal
+    // machine's raw read: a transient flip heals on the first retry,
+    // sent 300 cycles after the faulted 600-cycle read.
+    Rig rig(SecurityMode::NonSecureIdeal);
+    rig.nvm->writeFunctional(0x1000, pattern(5));
+    rig.nvm->injectTransientFlip(0x1000, 17);
+    const Tick sent = 1000 + rig.cfg.wpq.mcTransitLatency;
+    const auto rd = rig.mc->readBlock(0x1000, 1000);
+    EXPECT_EQ(rd.data, pattern(5));
+    EXPECT_EQ(rd.completeTick, sent + 600 + 300 + 600);
+    EXPECT_EQ(rig.nvm->reads(), 2u);
+    EXPECT_EQ(rig.nvm->mediaErrorReads(), 1u);
+    EXPECT_EQ(rig.nvm->quarantineCount(), 0u);
+
+    // A stuck cell keeps failing: three retries after 300, 600 and
+    // 1200 cycles, then the block is retired and reads as zeros.
+    rig.nvm->writeFunctional(0x2000, pattern(6));
+    rig.nvm->injectStuckBit(0x2000, 3, !(pattern(6)[0] & 0x08));
+    const auto stuck = rig.mc->readBlock(0x2000, 100000);
+    const Tick sent2 = 100000 + rig.cfg.wpq.mcTransitLatency;
+    EXPECT_EQ(stuck.data, zeroBlock());
+    EXPECT_EQ(stuck.completeTick, sent2 + 4 * 600 + 300 + 600 + 1200);
+    EXPECT_EQ(rig.nvm->reads(), 6u);
+    ASSERT_TRUE(rig.nvm->isQuarantined(0x2000));
+    EXPECT_EQ(rig.nvm->quarantineLog().at(0x2000).retries, 3u);
+    EXPECT_EQ(rig.nvm->quarantineLog().at(0x2000).reason,
+              "uncorrectable media fault (raw read)");
+}
+
 TEST(Controller, WpqCapacityMatchesMode)
 {
     EXPECT_EQ(Rig(SecurityMode::DolosFullWpq).mc->wpqCapacity(), 16u);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/nvm_device.hh"
 
 namespace
@@ -41,7 +43,7 @@ TEST(NvmDevice, WriteLatencyOnIdleBank)
 {
     NvmDevice nvm(paperParams());
     Block b{};
-    EXPECT_EQ(nvm.write(0x0, b, 50), 50u + 2000u);
+    EXPECT_EQ(nvm.write(0x0, b, 50).completeTick, 50u + 2000u);
 }
 
 TEST(NvmDevice, SameBankAccessesSerialize)
@@ -50,9 +52,9 @@ TEST(NvmDevice, SameBankAccessesSerialize)
     Block b{};
     // Bank stride is numBanks * blockSize.
     const Addr same_bank = 8 * 64;
-    const Tick t1 = nvm.write(0x0, b, 0);
+    const Tick t1 = nvm.write(0x0, b, 0).completeTick;
     EXPECT_EQ(t1, 2000u);
-    const Tick t2 = nvm.write(same_bank, b, 0);
+    const Tick t2 = nvm.write(same_bank, b, 0).completeTick;
     EXPECT_EQ(t2, 4000u);
 }
 
@@ -60,9 +62,9 @@ TEST(NvmDevice, DifferentBanksOverlap)
 {
     NvmDevice nvm(paperParams());
     Block b{};
-    EXPECT_EQ(nvm.write(0 * 64, b, 0), 2000u);
-    EXPECT_EQ(nvm.write(1 * 64, b, 0), 2000u);
-    EXPECT_EQ(nvm.write(7 * 64, b, 0), 2000u);
+    EXPECT_EQ(nvm.write(0 * 64, b, 0).completeTick, 2000u);
+    EXPECT_EQ(nvm.write(1 * 64, b, 0).completeTick, 2000u);
+    EXPECT_EQ(nvm.write(7 * 64, b, 0).completeTick, 2000u);
 }
 
 TEST(NvmDevice, DataPersistsFunctionally)
@@ -127,12 +129,12 @@ TEST(NvmMediaFaults, TransientFlipFiresOnceThenHeals)
 
     nvm.injectTransientFlip(0x1000, 16); // bit 0 of byte 2
     const auto faulty = nvm.read(0x1000, 5000);
-    EXPECT_TRUE(nvm.lastReadMediaError());
+    EXPECT_TRUE(faulty.mediaError);
     EXPECT_EQ(faulty.data[2], 0xA5 ^ 0x01);
 
     // One-shot: the retry sees pristine data and a clean flag.
     const auto retry = nvm.read(0x1000, 9000);
-    EXPECT_FALSE(nvm.lastReadMediaError());
+    EXPECT_FALSE(retry.mediaError);
     EXPECT_EQ(retry.data[2], 0xA5);
     EXPECT_EQ(nvm.mediaErrorReads(), 1u);
 }
@@ -146,7 +148,7 @@ TEST(NvmMediaFaults, StuckBitPersistsAndAlwaysFlags)
     nvm.injectStuckBit(0x2000, 9, true); // bit 1 of byte 1 pinned high
     for (int i = 0; i < 3; ++i) {
         const auto r = nvm.read(0x2000, 5000 + i * 1000);
-        EXPECT_TRUE(nvm.lastReadMediaError()) << "read " << i;
+        EXPECT_TRUE(r.mediaError) << "read " << i;
         EXPECT_EQ(r.data[1], 0x02) << "read " << i;
     }
     // Rewriting does not repair a worn cell.
@@ -167,15 +169,12 @@ TEST(NvmMediaFaults, WriteFailSuppressesCommitThenRecovers)
     nvm.injectWriteFail(0x3000, 2);
     Block after{};
     after[0] = 0x22;
-    nvm.write(0x3000, after, 5000);
-    EXPECT_TRUE(nvm.lastWriteMediaError());
+    EXPECT_TRUE(nvm.write(0x3000, after, 5000).mediaError);
     EXPECT_EQ(nvm.readFunctional(0x3000)[0], 0x11) << "write committed";
-    nvm.write(0x3000, after, 9000);
-    EXPECT_TRUE(nvm.lastWriteMediaError());
+    EXPECT_TRUE(nvm.write(0x3000, after, 9000).mediaError);
 
     // Budget exhausted: the third attempt lands.
-    nvm.write(0x3000, after, 13000);
-    EXPECT_FALSE(nvm.lastWriteMediaError());
+    EXPECT_FALSE(nvm.write(0x3000, after, 13000).mediaError);
     EXPECT_EQ(nvm.readFunctional(0x3000)[0], 0x22);
     EXPECT_EQ(nvm.mediaErrorWrites(), 2u);
 }
@@ -193,12 +192,12 @@ TEST(NvmMediaFaults, FunctionalAccessesBypassTheFaultModel)
     // not consume the one-shot flip or raise flags.
     EXPECT_EQ(nvm.readFunctional(0x4000)[0], 0x3C);
     EXPECT_EQ(nvm.readFunctional(0x4000)[1], 0x00);
-    EXPECT_FALSE(nvm.lastReadMediaError());
+    EXPECT_EQ(nvm.mediaErrorReads(), 0u);
 
     // The timed path still sees both faults afterwards: the one-shot
     // flip on bit 0 of byte 0, the stuck cell at bit 0 of byte 1.
     const auto r = nvm.read(0x4000, 5000);
-    EXPECT_TRUE(nvm.lastReadMediaError());
+    EXPECT_TRUE(r.mediaError);
     EXPECT_EQ(r.data[0], 0x3C ^ 0x01);
     EXPECT_EQ(r.data[1], 0x01);
 }
@@ -214,9 +213,9 @@ TEST(NvmMediaFaults, ReadFunctionalCheckedSeesTheFaultModel)
     nvm.write(0x7000, b, 0);
     nvm.injectStuckBit(0x7000, 4, true); // bit 4 of byte 0
 
-    const Block checked = nvm.readFunctionalChecked(0x7000);
-    EXPECT_TRUE(nvm.lastReadMediaError());
-    EXPECT_EQ(checked[0], 0x1F);
+    const auto checked = nvm.readFunctionalChecked(0x7000);
+    EXPECT_TRUE(checked.mediaError);
+    EXPECT_EQ(checked.data[0], 0x1F);
     // The raw functional path still bypasses the fault model.
     EXPECT_EQ(nvm.readFunctional(0x7000)[0], 0x0F);
 }
@@ -237,8 +236,7 @@ TEST(NvmMediaFaults, RemapToSpareRetiresTheWornRow)
     EXPECT_TRUE(nvm.remapToSpare(0x8000, "worn counter frame"));
     EXPECT_EQ(nvm.sparesLeft(), 0u);
     EXPECT_FALSE(nvm.hasUnhealableFault(0x8000));
-    nvm.readFunctionalChecked(0x8000);
-    EXPECT_FALSE(nvm.lastReadMediaError());
+    EXPECT_FALSE(nvm.readFunctionalChecked(0x8000).mediaError);
     ASSERT_EQ(nvm.remapLog().size(), 1u);
     EXPECT_EQ(nvm.remapLog().front().addr, 0x8000u);
     EXPECT_EQ(nvm.remapLog().front().reason, "worn counter frame");
@@ -277,6 +275,41 @@ TEST(NvmMediaFaults, QuarantineRegistryDeduplicatesByBlock)
     ASSERT_EQ(log.count(0x5000), 1u);
     EXPECT_EQ(log.at(0x5000).reason, "read retries exhausted");
     EXPECT_EQ(log.at(0x5000).retries, 3u);
+}
+
+TEST(MediaRetryPolicy, BackoffDoublesAndAcceptStopsRetrying)
+{
+    // A fake access that stays media-flagged: every attempt records
+    // the tick it starts at and completes 10 cycles later.
+    struct Attempt
+    {
+        Tick completeTick = 0;
+        bool mediaError = true;
+        unsigned n = 0;
+    };
+    std::vector<Tick> starts;
+    const auto again = [&](Tick at) {
+        starts.push_back(at);
+        return Attempt{at + 10, true, unsigned(starts.size())};
+    };
+    const auto r = retryMedia(Attempt{100}, again);
+    EXPECT_EQ(starts, (std::vector<Tick>{400, 1010, 2220}));
+    EXPECT_EQ(r.retries, mediaRetryLimit);
+    EXPECT_TRUE(r.failed);
+    EXPECT_FALSE(r.healed());
+
+    // The caller's acceptance test ends the retries early.
+    starts.clear();
+    const auto accepted = retryMedia(
+        Attempt{100}, again, [](const Attempt &a) { return a.n == 1; });
+    EXPECT_EQ(accepted.retries, 1u);
+    EXPECT_FALSE(accepted.failed);
+    EXPECT_TRUE(accepted.healed());
+
+    // An unflagged first attempt is never retried.
+    starts.clear();
+    EXPECT_EQ(retryMedia(Attempt{100, false}, again).retries, 0u);
+    EXPECT_TRUE(starts.empty());
 }
 
 } // namespace

@@ -305,6 +305,103 @@ TEST_F(SecurityEngineTest, PageReencryptionAfterMinorOverflow)
     EXPECT_FALSE(eng.attackDetected());
 }
 
+TEST_F(SecurityEngineTest, FailedSiblingWriteDuringReencryptionHeals)
+{
+    // The page re-encryption rewrites every stored sibling. A write
+    // the device rejects is retried like any other data write; left
+    // bare, the old ciphertext would sit beside the new MAC and read
+    // as tamper.
+    const Block sibling = pattern(20);
+    Tick t = writeThrough(0x0, sibling, 0);
+    nvm.injectWriteFail(0x0, 2);
+    const Block hot = pattern(21);
+    for (int i = 0; i < 128; ++i)
+        t = writeThrough(0x40, hot, t);
+
+    EXPECT_EQ(eng.mediaRetries(), 2u);
+    EXPECT_EQ(eng.mediaHealed(), 1u);
+    const auto rd = eng.secureRead(0x0, t + 1000);
+    EXPECT_EQ(rd.data, sibling);
+    EXPECT_FALSE(eng.attackDetected());
+    EXPECT_EQ(nvm.quarantineCount(), 0u);
+}
+
+TEST_F(SecurityEngineTest, SiblingWriteFailingPastRetriesQuarantines)
+{
+    writeThrough(0x0, pattern(20), 0);
+    nvm.injectWriteFail(0x0, 16);
+    Tick t = 100000;
+    const Block hot = pattern(21);
+    for (int i = 0; i < 128; ++i)
+        t = writeThrough(0x40, hot, t);
+
+    // Worn cells, not an adversary: the sibling is retired and reads
+    // as poison, and the alarm stays silent.
+    EXPECT_TRUE(nvm.isQuarantined(0x0));
+    EXPECT_EQ(nvm.quarantineLog().at(0x0).retries, 3u);
+    const auto rd = eng.secureRead(0x0, t + 1000);
+    EXPECT_EQ(rd.data, zeroBlock());
+    EXPECT_EQ(eng.quarantineReads(), 1u);
+    EXPECT_EQ(eng.secureRead(0x40, rd.completeTick).data, hot);
+    EXPECT_FALSE(eng.attackDetected());
+}
+
+TEST_F(SecurityEngineTest, StuckCounterBlockRetryBackoffSchedule)
+{
+    // Characterisation of the media retry schedule on a timed
+    // metadata read: three retries, the first after 300 cycles and
+    // each later one after twice the previous backoff, every read
+    // taking the 600-cycle device latency. A twin engine reading the
+    // same image without the fault gives the fault-free tick.
+    const Block pt = pattern(30);
+    NvmDevice twin_nvm{NvmParams{}};
+    SecurityEngine twin{testParams(), twin_nvm};
+    for (SecurityEngine *e : {&eng, &twin}) {
+        const auto w = e->secureWrite(0x1000, pt, 0);
+        e->writeCiphertext(0x1000, w.ciphertext, w.doneTick);
+        // Drop the counter cache: the next access fetches the counter
+        // block from NVM.
+        e->crash();
+        ASSERT_TRUE(e->recover().rootVerified);
+    }
+    const Addr cb = AddressMap::counterBlockAddr(0x1000);
+    const Block stored = nvm.readFunctional(cb);
+    nvm.injectStuckBit(cb, 9, !(stored[1] & 0x02));
+
+    const Tick arrival = 10'000'000;
+    const auto clean = twin.secureRead(0x1000, arrival);
+    const auto rd = eng.secureRead(0x1000, arrival);
+    EXPECT_EQ(rd.data, pt);
+    EXPECT_EQ(clean.data, pt);
+    EXPECT_EQ(rd.completeTick - clean.completeTick,
+              Tick(3 * 600 + 300 + 600 + 1200));
+    // Counter block (600), two uncached tree levels (600 + 160
+    // each), then the data MAC check (160 + 1).
+    EXPECT_EQ(clean.completeTick, arrival + 600 + 2 * 760 + 161);
+    EXPECT_EQ(rd.completeTick, arrival + 6181);
+    EXPECT_EQ(eng.mediaRetries(), 3u);
+    EXPECT_EQ(eng.mediaHealed(), 0u);
+    EXPECT_EQ(eng.metaMediaFaults(), 1u);
+    EXPECT_EQ(eng.counterBlocksRebuilt(), 1u);
+    EXPECT_EQ(nvm.mediaErrorReads(), 4u);
+    EXPECT_FALSE(eng.attackDetected());
+}
+
+TEST_F(SecurityEngineTest, WriteFailureRetryBackoffSchedule)
+{
+    // Two rejected program pulses: the third attempt commits. Each
+    // retry starts after the previous write's 2000 cycles plus a
+    // backoff of 300, then 600 cycles.
+    nvm.injectWriteFail(0x6000, 2);
+    const Tick now = 1'000'000;
+    const Tick done = eng.writeCiphertext(0x6000, pattern(31), now);
+    EXPECT_EQ(done, now + 3 * 2000 + 300 + 600);
+    EXPECT_EQ(eng.mediaRetries(), 2u);
+    EXPECT_EQ(eng.mediaHealed(), 1u);
+    EXPECT_EQ(nvm.mediaErrorWrites(), 2u);
+    EXPECT_EQ(nvm.readFunctional(0x6000), pattern(31));
+}
+
 TEST_F(SecurityEngineTest, CounterCacheHitsTrackLocality)
 {
     Tick t = writeThrough(0x0, pattern(0), 0);
@@ -351,7 +448,7 @@ TEST_F(SecurityEngineTest, StuckCellQuarantinesWithoutAlarm)
     // Unhealable, device-flagged: graceful degradation, not tamper.
     EXPECT_FALSE(eng.attackDetected());
     EXPECT_TRUE(nvm.isQuarantined(0x2000));
-    EXPECT_EQ(eng.mediaRetries(), testParams().mediaRetryLimit);
+    EXPECT_EQ(eng.mediaRetries(), mediaRetryLimit);
     EXPECT_EQ(eng.mediaHealed(), 0u);
     EXPECT_EQ(rd.data, zeroBlock());
 
